@@ -162,11 +162,11 @@ class _Jet:
         k = self.order
         out = [ZERO] * (k + 1)
         for i, a in enumerate(self.coeffs):
-            if not a.terms:
+            if not a:
                 continue
             for j in range(k + 1 - i):
                 b = other.coeffs[j]
-                if b.terms:
+                if b:
                     out[i + j] = out[i + j] + a * b
         return _Jet(out)
 
@@ -190,7 +190,7 @@ class _Jet:
         for m in range(1, len(a)):
             s = ZERO
             for i in range(1, m + 1):
-                if a[i].terms and b[m - i].terms:
+                if a[i] and b[m - i]:
                     s = s + a[i] * b[m - i]
             b.append(-(b0 * s))
         return _Jet(b)
@@ -273,11 +273,11 @@ class _JetN:
         k = self.k
         out: dict[tuple[int, ...], LCNumber] = {}
         for alpha, a in self.coeffs.items():
-            if not a.terms:
+            if not a:
                 continue
             da = sum(alpha)
             for beta, b in other.coeffs.items():
-                if not b.terms or da + sum(beta) > k:
+                if not b or da + sum(beta) > k:
                     continue
                 gamma = tuple(x + y for x, y in zip(alpha, beta))
                 out[gamma] = out.get(gamma, ZERO) + a * b
@@ -303,7 +303,7 @@ class _JetN:
         nonconst = {
             alpha: a
             for alpha, a in self.coeffs.items()
-            if alpha != zero_key and a.terms
+            if alpha != zero_key and a
         }
         for gamma in sorted(multi_indices(self.n, self.k), key=sum):
             if gamma == zero_key:
@@ -314,9 +314,9 @@ class _JetN:
                 if any(r < 0 for r in rest):
                     continue
                 br = out.get(rest, ZERO)
-                if br.terms:
+                if br:
                     s = s + a * br
-            if s.terms:
+            if s:
                 out[gamma] = -(b0 * s)
         return _JetN(self.n, self.k, out)
 
@@ -446,7 +446,7 @@ def directional_power(pj: PartialJet, v: Sequence, j: int) -> LCNumber:
         powers.append(ladder)
     total = ZERO
     for alpha, coeff in pj.table.items():
-        if sum(alpha) != j or not coeff.terms:
+        if sum(alpha) != j or not coeff:
             continue
         prod = coeff
         for i, a in enumerate(alpha):
@@ -473,15 +473,15 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
         powers.append(ladder)
     total = ZERO
     for alpha, coeff in pj.table.items():
-        if sum(alpha) > k or not coeff.terms:
+        if sum(alpha) > k or not coeff:
             continue
         prod = coeff
         for i, a in enumerate(alpha):
             if a:
                 prod = prod * powers[i][a]
-                if not prod.terms:
+                if not prod:
                     break
-        if prod.terms:
+        if prod:
             total = total + prod
     return total
 
@@ -506,17 +506,17 @@ def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:
     a = _as_lc(a)
     fa = eval_lc(f, {var: a})
     ga = eval_lc(g, {var: a})
-    if fa.terms or ga.terms:
+    if fa or ga:
         raise NotIndeterminateError("f and g must both vanish at the point")
     from .core import D
 
     x = a + D
     fe = eval_lc(f, {var: x})
     ge = eval_lc(g, {var: x})
-    if not ge.terms:
+    if not ge:
         raise ZeroDenominatorError("denominator vanishes at a + d")
     q = fe * ge.inv()
-    if not q.terms:
+    if not q:
         return ZERO
     lam = q.valuation()
     if lam > 0:

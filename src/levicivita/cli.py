@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import format_lc, set_default_horizon
+from .core import default_horizon, format_lc, set_default_horizon
 from .errors import LCError
 from .expr import parse_expr, parse_lc
 from .calculus import derivative_at, lhopital_limit, taylor_jet
@@ -240,20 +240,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    horizon = args.horizon
-    if horizon is None and os.environ.get("LC_HORIZON"):
-        horizon = Fraction(os.environ["LC_HORIZON"])
-    if horizon is not None:
-        try:
-            set_default_horizon(horizon)
-        except ValueError as exc:
-            print(f"levicivita: error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    previous = default_horizon()
     try:
+        horizon = args.horizon
+        if horizon is None and os.environ.get("LC_HORIZON"):
+            horizon = _env_horizon(os.environ["LC_HORIZON"])
+        if horizon is not None:
+            set_default_horizon(horizon)
         return _COMMANDS[args.command](args)
-    except (LCError, ZeroDivisionError, ValueError) as exc:
+    except (LCError, ArithmeticError, ValueError, RecursionError) as exc:
+        # ArithmeticError covers ZeroDivisionError and the OverflowError of
+        # math.exp on a too-large real argument; RecursionError, a sum of
+        # thousands of terms, whose tree evaluation recurses per operator.
         print(f"levicivita: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        set_default_horizon(previous)
+
+
+def _env_horizon(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"LC_HORIZON={text!r} is not a rational number") from None
 
 
 if __name__ == "__main__":

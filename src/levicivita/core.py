@@ -26,7 +26,11 @@ Values built from parsed literals get the configurable default horizon
 
 Internally the term list lives on a common-denominator integer grid (one
 denominator per number, integer exponents), so the hot arithmetic paths are
-pure machine-int loops; the rational view is materialized on demand.
+pure machine-int loops; the rational view is materialized on demand.  The
+horizon algebra stays on that grid too: a product of exactly-known factors
+does no horizon arithmetic, and a finite horizon costs one ``Fraction``.
+``LCNumber.terms`` builds a ``Fraction`` per term, so test emptiness with
+``bool(x)`` or ``x.is_zero``, never with ``x.terms``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ Scalar = Union[int, float, Fraction]
 #: Valuations and horizons: an exact rational, or +/-inf (floats only there).
 Valuation = Union[Fraction, float]
 
+# A horizon is a Fraction or inf, so the hot paths test for inf with
+# ``type(h) is float``: ``h == INF`` on a Fraction runs Fraction.__eq__.
 INF = math.inf
 
 _default_horizon = Fraction(32)
@@ -75,15 +81,22 @@ def _as_exponent(e) -> Fraction:
     raise TypeError(f"exponent must be int or Fraction, got {type(e).__name__}")
 
 
+def _as_horizon(horizon) -> Valuation:
+    """Normalize a horizon argument to a Fraction or the float INF."""
+    return INF if horizon == INF else Fraction(horizon)
+
+
 def _ceil_bound(horizon: Valuation, den: int):
     """Integer b with (e < horizon*den) == (e < b) for integers e; None if inf."""
-    if horizon == INF:
+    if type(horizon) is float:
         return None
-    scaled = horizon * den
-    b = math.ceil(scaled)
-    if b == scaled:
-        return b
-    return b
+    return -((-horizon.numerator * den) // horizon.denominator)
+
+
+def _shifted(horizon: Fraction, num: int, den: int) -> Fraction:
+    """The finite horizon plus num/den, built as a single Fraction."""
+    hd = horizon.denominator
+    return Fraction(horizon.numerator * den + num * hd, hd * den)
 
 
 def _canonical(den: int, items):
@@ -112,8 +125,7 @@ class LCNumber:
     __slots__ = ("_den", "_iterms", "horizon", "_view")
 
     def __init__(self, terms: Iterable[tuple] = (), horizon: Valuation = INF):
-        if horizon != INF:
-            horizon = Fraction(horizon)
+        horizon = _as_horizon(horizon)
         den = 1
         pairs = []
         for e, c in terms:
@@ -167,8 +179,7 @@ class LCNumber:
 
     @classmethod
     def from_real(cls, value: Scalar, horizon: Valuation = INF) -> "LCNumber":
-        if horizon != INF:
-            horizon = Fraction(horizon)
+        horizon = _as_horizon(horizon)
         c = float(value)
         if c == 0.0 or (horizon != INF and horizon <= 0):
             return cls._from_grid(1, (), horizon)
@@ -178,7 +189,11 @@ class LCNumber:
 
     @property
     def terms(self) -> tuple:
-        """The visible terms as ((exponent: Fraction, coefficient: float), ...)."""
+        """The visible terms as ((exponent: Fraction, coefficient: float), ...).
+
+        The first access builds one ``Fraction`` per term.  To test for
+        emptiness use ``bool(x)`` or ``x.is_zero``, which read the grid.
+        """
         view = self._view
         if view is None:
             den = self._den
@@ -230,8 +245,7 @@ class LCNumber:
 
     def truncate(self, horizon: Valuation) -> "LCNumber":
         """Restrict knowledge to ``min(self.horizon, horizon)``."""
-        if horizon != INF:
-            horizon = Fraction(horizon)
+        horizon = _as_horizon(horizon)
         h = min(self.horizon, horizon)
         if h == self.horizon:
             return self
@@ -242,6 +256,12 @@ class LCNumber:
 
     def max_abs_coefficient(self) -> float:
         return max((abs(c) for _, c in self._iterms), default=0.0)
+
+    def without_small(self, tol: float) -> "LCNumber":
+        """The sub-series of terms with ``abs(coefficient) > tol``."""
+        items = tuple(t for t in self._iterms if abs(t[1]) > tol)
+        den, items = _canonical(self._den, items)
+        return LCNumber._from_grid(den, items, self.horizon)
 
     # -- ring operations ---------------------------------------------------
 
@@ -257,7 +277,13 @@ class LCNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        horizon = min(self.horizon, other.horizon)
+        ha, hb = self.horizon, other.horizon
+        if type(hb) is float:
+            horizon = ha
+        elif type(ha) is float:
+            horizon = hb
+        else:
+            horizon = min(ha, hb)
         da, db = self._den, other._den
         if da == db:
             den = da
@@ -313,45 +339,51 @@ class LCNumber:
             return NotImplemented
         return other + (-self)
 
-    def _monomial_mul(self, coeff: float, shift, horizon: Valuation):
-        shift = _as_exponent(shift)
+    def _monomial_mul(self, coeff: float, num: int, den: int, horizon: Valuation):
+        """self * coeff * d^(num/den), clipped at ``horizon``."""
         da = self._den
-        den = da * shift.denominator // math.gcd(da, shift.denominator)
-        fa = den // da
-        off = shift.numerator * (den // shift.denominator)
-        bound = _ceil_bound(horizon, den)
+        grid = da * den // math.gcd(da, den)
+        fa = grid // da
+        off = num * (grid // den)
+        bound = _ceil_bound(horizon, grid)
         out = []
         for e, c in self._iterms:
             e2 = e * fa + off
             c2 = c * coeff
             if c2 != 0.0 and (bound is None or e2 < bound):
                 out.append((e2, c2))
-        den, items = _canonical(den, out)
-        return LCNumber._from_grid(den, items, horizon)
+        grid, items = _canonical(grid, out)
+        return LCNumber._from_grid(grid, items, horizon)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._iterms or not other._iterms:
+        a, b = self._iterms, other._iterms
+        if not a or not b:
             # A factor with no visible terms annihilates the product.
             return ZERO
-        lx = Fraction(self._iterms[0][0], self._den)
-        ly = Fraction(other._iterms[0][0], other._den)
-        horizon = min(self.horizon + ly, other.horizon + lx)
-        if len(self._iterms) == 1:
-            return other._monomial_mul(self._iterms[0][1], lx, horizon)
-        if len(other._iterms) == 1:
-            return self._monomial_mul(other._iterms[0][1], ly, horizon)
         da, db = self._den, other._den
+        # h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)), on the grid;
+        # an infinite horizon contributes nothing to the min.
+        ha, hb = self.horizon, other.horizon
+        if type(ha) is float:
+            horizon = ha if type(hb) is float else _shifted(hb, a[0][0], da)
+        elif type(hb) is float:
+            horizon = _shifted(ha, b[0][0], db)
+        else:
+            horizon = min(_shifted(ha, b[0][0], db), _shifted(hb, a[0][0], da))
+        if len(a) == 1:
+            return other._monomial_mul(a[0][1], a[0][0], da, horizon)
+        if len(b) == 1:
+            return self._monomial_mul(b[0][1], b[0][0], db, horizon)
         if da == db:
             den = da
-            a, b = self._iterms, other._iterms
         else:
             den = da * db // math.gcd(da, db)
             fa, fb = den // da, den // db
-            a = [(e * fa, c) for e, c in self._iterms]
-            b = [(e * fb, c) for e, c in other._iterms]
+            a = [(e * fa, c) for e, c in a]
+            b = [(e * fb, c) for e, c in b]
         bound = _ceil_bound(horizon, den)
         acc: dict[int, float] = {}
         get = acc.get
@@ -429,7 +461,7 @@ class LCNumber:
         while power._iterms:
             total = total + power
             power = (power * neg_u).truncate(rel)
-        return total._monomial_mul(1.0 / a, -q, target)
+        return total._monomial_mul(1.0 / a, -q_int, self._den, target)
 
     # -- order -------------------------------------------------------------
 

@@ -35,6 +35,10 @@ from .errors import LCSyntaxError, NotDifferentiableError, UnboundVariableError
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
+#: Deepest nesting of parentheses, calls, unary minus and exponents that
+#: parse_expr accepts; each level costs the recursive parser several frames.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class RationalConst:
@@ -158,6 +162,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -239,10 +244,20 @@ def _parse_mul(sc: _Scanner) -> Expr:
 
 
 def _parse_unary(sc: _Scanner) -> Expr:
-    if sc.peek() == "-":
-        sc.take()
-        return _neg(_parse_unary(sc))
-    return _parse_power(sc)
+    # Every nesting level (parenthesis, call, unary minus, exponent) passes
+    # through here, so this is where the depth is bounded.
+    if sc.depth >= MAX_NESTING:
+        raise LCSyntaxError(
+            f"expression nested deeper than {MAX_NESTING} levels", sc.pos
+        )
+    sc.depth += 1
+    try:
+        if sc.peek() == "-":
+            sc.take()
+            return _neg(_parse_unary(sc))
+        return _parse_power(sc)
+    finally:
+        sc.depth -= 1
 
 
 def _parse_power(sc: _Scanner) -> Expr:

@@ -98,7 +98,7 @@ def lambda0_estimate(s: PowerSeries, window: Optional[int] = None) -> Valuation:
     best: Valuation = _NEG_INF
     for j in range(jmax - window + 1, jmax + 1):
         a = s.coeffs[j]
-        if a.terms:
+        if a:
             v = Fraction(-a.valuation(), j)
             if best == _NEG_INF or v > best:
                 best = v
@@ -143,7 +143,7 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
         if j:
             power = power * delta
         term = a * power
-        if not term.terms or term.valuation() >= acc.horizon:
+        if not term or term.valuation() >= acc.horizon:
             invisible += 1
             if invisible >= INVISIBLE_RUN:
                 break
@@ -176,7 +176,7 @@ def recenter(
     exceed the lambda0 estimate, else the double sum cannot be reordered.
     """
     delta = new_center - s.center
-    if delta.terms:
+    if delta:
         lam0 = lambda0_estimate(s, window)
         if not delta.valuation() > lam0:
             raise NotInRadiusError(
@@ -213,7 +213,7 @@ def _run_series(first: LCNumber, steps, limit: Valuation) -> LCNumber:
     acc = first
     invisible = 0
     for term in steps:
-        if not term.terms or term.valuation() >= limit:
+        if not term or term.valuation() >= limit:
             invisible += 1
             if invisible >= INVISIBLE_RUN:
                 break
@@ -226,11 +226,11 @@ def _run_series(first: LCNumber, steps, limit: Valuation) -> LCNumber:
 def exp(x) -> LCNumber:
     """exp of a finite argument: exp(r) * sum(i^j / j!) for x = r + i."""
     x = _require_lc(x)
-    if x.terms and x.valuation() < 0:
+    if x and x.valuation() < 0:
         raise DomainError("exp of an infinitely large argument")
     r = x.real_part()
     i = x.infinitesimal_part()
-    if not i.terms:
+    if not i:
         return LCNumber.from_real(math.exp(r), x.horizon)
     limit = _working_horizon(x)
     i = i.truncate(limit)
@@ -250,7 +250,7 @@ def exp(x) -> LCNumber:
 def ln(x) -> LCNumber:
     """ln of a finite positive argument: ln(a0) + sum((-1)^(j+1) u^j / j)."""
     x = _require_lc(x)
-    if not x.terms or x.valuation() != 0 or x.terms[0][1] <= 0:
+    if not x or x.valuation() != 0 or x.terms[0][1] <= 0:
         raise DomainError("ln requires a finite argument with positive real part")
     a0 = x.terms[0][1]
     if len(x.terms) == 1:
@@ -272,12 +272,12 @@ def ln(x) -> LCNumber:
 
 
 def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
-    if x.terms and x.valuation() < 0:
+    if x and x.valuation() < 0:
         raise DomainError("sin/cos of an infinitely large argument")
     r = x.real_part()
     i = x.infinitesimal_part()
     sr, cr = math.sin(r), math.cos(r)
-    if not i.terms:
+    if not i:
         return (
             LCNumber.from_real(sr, x.horizon),
             LCNumber.from_real(cr, x.horizon),
@@ -291,7 +291,7 @@ def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
     invisible = 0
     while True:
         term = term * i * (1.0 / k)
-        if not term.terms or term.valuation() >= limit:
+        if not term or term.valuation() >= limit:
             invisible += 1
             if invisible >= INVISIBLE_RUN:
                 break
@@ -359,7 +359,7 @@ def nth_root(x, n: int) -> LCNumber:
             j += 1
 
     acc = _run_series(ONE.truncate(limit), steps(), limit)
-    return acc._monomial_mul(lead, shift, limit + shift)
+    return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + shift)
 
 
 def _require_lc(x) -> LCNumber:

@@ -200,13 +200,10 @@ def _filtered_residual(resid: LCNumber, *refs: LCNumber) -> LCNumber:
     Exact computations (dyadic data) are unaffected: their residuals are
     exactly zero or carry genuinely sized coefficients.
     """
-    if not resid.terms:
+    if not resid:
         return resid
     scale = max((r.max_abs_coefficient() for r in refs), default=0.0)
-    kept = tuple(
-        (e, c) for e, c in resid.terms if abs(c) > RESIDUAL_REL_TOL * scale
-    )
-    return LCNumber._make(kept, resid.horizon)
+    return resid.without_small(RESIDUAL_REL_TOL * scale)
 
 
 def wlud_check_1d(
@@ -472,7 +469,7 @@ def analyticity_certificate_1d(
             approx = _taylor_sum(series_x.coeffs, (y - x).truncate(cap))
             resid = _filtered_residual(fy - approx, fy, approx)
             checks.append((x, y, resid.valuation()))
-            if resid.terms:
+            if resid:
                 verdict = _classify_residual(
                     resid, (y - x).valuation(), jmax, growth
                 )
@@ -552,7 +549,7 @@ def analyticity_certificate_nd(
         approx = partial_taylor_eval(pj, v, jmax)
         resid = _filtered_residual(feta - approx, feta, approx)
         checks.append((center, eta, resid.valuation()))
-        if resid.terms:
+        if resid:
             lam_inc = min(c.valuation() for c in v)
             verdict = _classify_residual(resid, lam_inc, jmax, growth)
             if verdict == "refuted":
@@ -568,7 +565,7 @@ def _per_order_growth(pj: PartialJet, jmax: int) -> dict[int, Valuation]:
     out: dict[int, Valuation] = {j: _NEG_INF for j in range(1, jmax + 1)}
     for alpha, coeff in pj.table.items():
         j = sum(alpha)
-        if j == 0 or not coeff.terms:
+        if j == 0 or not coeff:
             continue
         v = Fraction(-coeff.valuation(), j)
         if out[j] == _NEG_INF or v > out[j]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from levicivita import set_default_horizon
+from levicivita import default_horizon, set_default_horizon
 from levicivita.cli import main
 
 
@@ -189,3 +189,53 @@ def test_infinite_limit_exit_3(capsys):
     code, _, err = run(capsys, "limit", "x", "x^2", "--var", "x", "--at", "0")
     assert code == 3
     assert "InfiniteLimit" in err
+
+
+def test_eval_overflow_exit_3(capsys):
+    code, _, err = run(capsys, "eval", "exp(1000)")
+    assert code == 3
+    assert err.startswith("levicivita: error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_product_overflow_exit_3(capsys):
+    code, _, err = run(capsys, "eval", "x*x", "--at", "x=1e200")
+    assert code == 3
+    assert err.startswith("levicivita: error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_deep_nesting_exit_3(capsys):
+    text = "(" * 600 + "x" + ")" * 600
+    code, _, err = run(capsys, "eval", text, "--at", "x=1")
+    assert code == 3
+    assert err.startswith("levicivita: error: LCSyntaxError")
+    assert "nested deeper" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_long_flat_sum_exit_3(capsys):
+    # parses iteratively, but evaluation recurses once per operator
+    code, _, err = run(capsys, "eval", "x" + "+x" * 3000, "--at", "x=1")
+    assert code == 3
+    assert err.startswith("levicivita: error: RecursionError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bad_horizon_env_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("LC_HORIZON", "abc")
+    code, _, err = run(capsys, "eval", "1+x", "--at", "x=d")
+    assert code == 3
+    assert "LC_HORIZON='abc'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--horizon", "5", "eval", "1/(1-x)", "--at", "x=d"),
+    ("--horizon", "5", "eval", "1/x", "--at", "x=0"),
+])
+def test_horizon_flag_does_not_leak(capsys, argv):
+    before = default_horizon()
+    assert before != 5
+    run(capsys, *argv)
+    assert default_horizon() == before

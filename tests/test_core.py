@@ -75,6 +75,16 @@ def test_add_identity_keeps_horizon():
     assert y.horizon == 5 and y.terms == x.terms
 
 
+def test_infinite_horizon_of_any_float_type():
+    class Float64(float):  # e.g. numpy.float64
+        pass
+
+    x = lc((F(0), 1.0), (F(1), 2.0), horizon=Float64("inf"))
+    assert x.horizon == INF and type(x.horizon) is float
+    assert (x * x).terms == ((F(0), 1.0), (F(1), 4.0), (F(2), 4.0))
+    assert x.truncate(Float64("inf")) is x
+
+
 def test_add_horizon_is_min():
     x = lc((F(0), 1.0), horizon=F(5))
     y = lc((F(1), 1.0), horizon=F(3))
