@@ -8,17 +8,19 @@ which is why a fresh formal indeterminate is used rather than re-using d:
 the probe must not collide with the center's own support.
 
 Multivariate jets work the same way with multi-index coefficients, giving
-all partials d^alpha f(x0)/alpha! for |alpha| <= k in one evaluation.
+all partials d^alpha f(x0)/alpha! for |alpha| <= k in one evaluation; the
+one-variable jet is their n = 1 case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from . import series
-from .core import INF, LCNumber, ONE, Ordering, ZERO
+from . import errors, series
+from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc
 from .errors import (
     InfiniteLimitError,
     NonJetResultError,
@@ -122,102 +124,7 @@ def _scaled_derivs(name: str, a0: LCNumber, k: int) -> list[LCNumber]:
     raise ValueError(f"unknown elementary function {name!r}")
 
 
-# -- one-variable jets ----------------------------------------------------------
-
-
-class _Jet:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[LCNumber]):
-        self.coeffs = coeffs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, value: LCNumber, k: int) -> "_Jet":
-        return cls([value] + [ZERO] * k)
-
-    @classmethod
-    def variable(cls, x0: LCNumber, k: int) -> "_Jet":
-        c = [x0] + [ZERO] * k
-        if k >= 1:
-            c[1] = ONE
-        return cls(c)
-
-    def const_like(self, value: float) -> "_Jet":
-        return _Jet.constant(LCNumber.from_real(value), self.order)
-
-    def add(self, other: "_Jet") -> "_Jet":
-        return _Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def sub(self, other: "_Jet") -> "_Jet":
-        return _Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def neg(self) -> "_Jet":
-        return _Jet([-a for a in self.coeffs])
-
-    def mul(self, other: "_Jet") -> "_Jet":
-        k = self.order
-        out = [ZERO] * (k + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return _Jet(out)
-
-    def int_pow(self, n: int) -> "_Jet":
-        if n < 0:
-            return self.inv().int_pow(-n)
-        result = _Jet.constant(ONE, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
-
-    def inv(self) -> "_Jet":
-        a = self.coeffs
-        b0 = a[0].inv()
-        b = [b0]
-        for m in range(1, len(a)):
-            s = ZERO
-            for i in range(1, m + 1):
-                if a[i] and b[m - i]:
-                    s = s + a[i] * b[m - i]
-            b.append(-(b0 * s))
-        return _Jet(b)
-
-    def compose(self, derivs: list[LCNumber]) -> "_Jet":
-        # Horner in the nilpotent part g = self - a0.
-        g = _Jet([ZERO] + self.coeffs[1:])
-        result = _Jet.constant(derivs[-1], self.order)
-        for n in range(len(derivs) - 2, -1, -1):
-            result = result.mul(g)
-            result.coeffs[0] = result.coeffs[0] + derivs[n]
-        return result
-
-    def apply(self, name: str) -> "_Jet":
-        if name == "abs":
-            sign = self.coeffs[0].compare(ZERO)
-            if sign is Ordering.GREATER:
-                return self
-            if sign is Ordering.LESS:
-                return self.neg()
-            raise NonJetResultError(
-                "abs at a point indistinguishable from 0 has no polynomial jet"
-            )
-        return self.compose(_scaled_derivs(name, self.coeffs[0], self.order))
-
-
-# -- multivariate jets ----------------------------------------------------------
+# -- jets ------------------------------------------------------------------------
 
 
 def multi_indices(n: int, k: int) -> list[tuple[int, ...]]:
@@ -231,62 +138,97 @@ def multi_indices(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-class _JetN:
-    __slots__ = ("n", "k", "coeffs")
+class _Layout(NamedTuple):
+    """Index tables of a jet in n increments truncated at total degree k.
 
-    def __init__(self, n: int, k: int, coeffs: dict[tuple[int, ...], LCNumber]):
-        self.n = n
-        self.k = k
-        self.coeffs = coeffs  # sparse: missing keys are ZERO
+    Coefficient p of a jet belongs to ``indices[p]``; the indices are in
+    graded order, so every index comes after all indices of lower degree.
+    """
+
+    n: int
+    k: int
+    indices: tuple[tuple[int, ...], ...]
+    mul: tuple  # mul[p] = ((q, r), ...): indices[p] + indices[q] = indices[r]
+    inv: tuple  # inv[r] = ((p, q), ...): the same with p != 0, in p order
+
+
+@functools.cache
+def _layout(n: int, k: int) -> _Layout:
+    indices = tuple(sorted(multi_indices(n, k), key=sum))
+    pos = {alpha: p for p, alpha in enumerate(indices)}
+    # upto[d] indices have degree <= d: a graded prefix
+    upto = {sum(alpha): p + 1 for p, alpha in enumerate(indices)}
+    mul = tuple(
+        tuple(
+            (q, pos[tuple(x + y for x, y in zip(a, b))])
+            for q, b in enumerate(indices[: upto[k - sum(a)]])
+        )
+        for a in indices
+    )
+    inv = tuple(
+        tuple(
+            (p, pos[tuple(x - y for x, y in zip(g, b))])
+            for p, b in enumerate(indices[: upto[sum(g)]])
+            if p and all(y <= x for x, y in zip(g, b))
+        )
+        for g in indices
+    )
+    return _Layout(n, k, indices, mul, inv)
+
+
+class _Jet:
+    """A truncated Taylor polynomial in n formal increments (dense, graded).
+
+    With n = 1 the tables reduce to the triangular loops of univariate jet
+    arithmetic, in the same operation order.
+    """
+
+    __slots__ = ("layout", "c")
+
+    def __init__(self, layout: _Layout, c: list[LCNumber]):
+        self.layout = layout
+        self.c = c
 
     @classmethod
-    def constant(cls, value: LCNumber, n: int, k: int) -> "_JetN":
-        return cls(n, k, {(0,) * n: value})
+    def constant(cls, value: LCNumber, layout: _Layout) -> "_Jet":
+        return cls(layout, [value] + [ZERO] * (len(layout.indices) - 1))
 
     @classmethod
-    def variable(cls, x0: LCNumber, index: int, n: int, k: int) -> "_JetN":
-        unit = tuple(1 if i == index else 0 for i in range(n))
-        coeffs = {(0,) * n: x0}
-        if k >= 1:
-            coeffs[unit] = ONE
-        return cls(n, k, coeffs)
+    def variable(cls, x0: LCNumber, index: int, layout: _Layout) -> "_Jet":
+        jet = cls.constant(x0, layout)
+        if layout.k >= 1:
+            unit = tuple(int(i == index) for i in range(layout.n))
+            jet.c[layout.indices.index(unit)] = ONE
+        return jet
 
-    def const_like(self, value: float) -> "_JetN":
-        return _JetN.constant(LCNumber.from_real(value), self.n, self.k)
+    def const_like(self, value: float) -> "_Jet":
+        return _Jet.constant(LCNumber.from_real(value), self.layout)
 
-    def _c0(self) -> LCNumber:
-        return self.coeffs.get((0,) * self.n, ZERO)
+    def add(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.layout, [a + b for a, b in zip(self.c, other.c)])
 
-    def add(self, other: "_JetN") -> "_JetN":
-        out = dict(self.coeffs)
-        for key, b in other.coeffs.items():
-            out[key] = out.get(key, ZERO) + b
-        return _JetN(self.n, self.k, out)
+    def sub(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.layout, [a - b for a, b in zip(self.c, other.c)])
 
-    def sub(self, other: "_JetN") -> "_JetN":
-        return self.add(other.neg())
+    def neg(self) -> "_Jet":
+        return _Jet(self.layout, [-a for a in self.c])
 
-    def neg(self) -> "_JetN":
-        return _JetN(self.n, self.k, {key: -a for key, a in self.coeffs.items()})
-
-    def mul(self, other: "_JetN") -> "_JetN":
-        k = self.k
-        out: dict[tuple[int, ...], LCNumber] = {}
-        for alpha, a in self.coeffs.items():
+    def mul(self, other: "_Jet") -> "_Jet":
+        out = [ZERO] * len(self.c)
+        b = other.c
+        for a, row in zip(self.c, self.layout.mul):
             if not a:
                 continue
-            da = sum(alpha)
-            for beta, b in other.coeffs.items():
-                if not b or da + sum(beta) > k:
-                    continue
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-                out[gamma] = out.get(gamma, ZERO) + a * b
-        return _JetN(self.n, self.k, out)
+            for q, r in row:
+                bq = b[q]
+                if bq:
+                    out[r] = out[r] + a * bq
+        return _Jet(self.layout, out)
 
-    def int_pow(self, n: int) -> "_JetN":
+    def int_pow(self, n: int) -> "_Jet":
         if n < 0:
             return self.inv().int_pow(-n)
-        result = _JetN.constant(ONE, self.n, self.k)
+        result = _Jet.constant(ONE, self.layout)
         base = self
         while n:
             if n & 1:
@@ -296,46 +238,30 @@ class _JetN:
                 base = base.mul(base)
         return result
 
-    def inv(self) -> "_JetN":
-        zero_key = (0,) * self.n
-        b0 = self._c0().inv()
-        out = {zero_key: b0}
-        nonconst = {
-            alpha: a
-            for alpha, a in self.coeffs.items()
-            if alpha != zero_key and a
-        }
-        for gamma in sorted(multi_indices(self.n, self.k), key=sum):
-            if gamma == zero_key:
-                continue
+    def inv(self) -> "_Jet":
+        a = self.c
+        b0 = a[0].inv()
+        b = [b0]
+        for row in self.layout.inv[1:]:
             s = ZERO
-            for beta, a in nonconst.items():
-                rest = tuple(g - bb for g, bb in zip(gamma, beta))
-                if any(r < 0 for r in rest):
-                    continue
-                br = out.get(rest, ZERO)
-                if br:
-                    s = s + a * br
-            if s:
-                out[gamma] = -(b0 * s)
-        return _JetN(self.n, self.k, out)
+            for p, q in row:
+                if a[p] and b[q]:
+                    s = s + a[p] * b[q]
+            b.append(-(b0 * s))
+        return _Jet(self.layout, b)
 
-    def compose(self, derivs: list[LCNumber]) -> "_JetN":
-        zero_key = (0,) * self.n
-        g = _JetN(
-            self.n,
-            self.k,
-            {a: c for a, c in self.coeffs.items() if a != zero_key},
-        )
-        result = _JetN.constant(derivs[-1], self.n, self.k)
-        for m in range(len(derivs) - 2, -1, -1):
+    def compose(self, derivs: list[LCNumber]) -> "_Jet":
+        # Horner in the nilpotent part g = self - a0.
+        g = _Jet(self.layout, [ZERO] + self.c[1:])
+        result = _Jet.constant(derivs[-1], self.layout)
+        for d in reversed(derivs[:-1]):
             result = result.mul(g)
-            result.coeffs[zero_key] = result.coeffs.get(zero_key, ZERO) + derivs[m]
+            result.c[0] = result.c[0] + d
         return result
 
-    def apply(self, name: str) -> "_JetN":
+    def apply(self, name: str) -> "_Jet":
         if name == "abs":
-            sign = self._c0().compare(ZERO)
+            sign = self.c[0].compare(ZERO)
             if sign is Ordering.GREATER:
                 return self
             if sign is Ordering.LESS:
@@ -343,7 +269,7 @@ class _JetN:
             raise NonJetResultError(
                 "abs at a point indistinguishable from 0 has no polynomial jet"
             )
-        return self.compose(_scaled_derivs(name, self._c0(), self.k))
+        return self.compose(_scaled_derivs(name, self.c[0], self.layout.k))
 
 
 # -- expression evaluation on jets ----------------------------------------------
@@ -377,21 +303,34 @@ def _eval_on_jets(e: Expr, env: Mapping[str, object]):
 # -- public operations -----------------------------------------------------------
 
 
+def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumber]:
+    """Coefficients of f's jet at center, in the graded order of _layout."""
+    if k < 0:
+        raise ValueError("jet order must be >= 0")
+    # A center only known below exponent h cannot support k+1 distinguishable
+    # derivative scales.
+    for c in center:
+        if c.horizon != INF and c.horizon < k + 1:
+            raise OrderTooHighError(
+                f"jet order {k} needs center horizon >= {k + 1}, have {c.horizon}"
+            )
+    layout = _layout(len(names), k)
+    env = {
+        name: _Jet.variable(c, i, layout) for i, (name, c) in enumerate(zip(names, center))
+    }
+    try:
+        return _eval_on_jets(f, env).c
+    except RecursionError:
+        raise errors.RecursionError("expression too deep for jet evaluation") from None
+
+
 def taylor_jet(f: Expr, var: str, x0, k: int) -> TaylorJet:
     """Taylor coefficients f^(j)(x0)/j! for j = 0..k by jet evaluation.
 
-    The center's horizon must reach past the jet order (a center only known
-    below exponent h cannot support k+1 distinguishable derivative scales).
+    The center's horizon must reach past the jet order.
     """
-    x0 = _as_lc(x0)
-    if k < 0:
-        raise ValueError("jet order must be >= 0")
-    if x0.horizon != INF and x0.horizon < k + 1:
-        raise OrderTooHighError(
-            f"jet order {k} needs center horizon >= {k + 1}, have {x0.horizon}"
-        )
-    jet = _eval_on_jets(f, {var: _Jet.variable(x0, k)})
-    return TaylorJet(x0, tuple(jet.coeffs))
+    x0 = as_lc(x0)
+    return TaylorJet(x0, tuple(_jet_at(f, [var], (x0,), k)))
 
 
 def derivative_at(f: Expr, var: str, x0, j: int) -> LCNumber:
@@ -403,28 +342,49 @@ def partial_jet(f: Expr, vars: Sequence[str], x0: Sequence, k: int) -> PartialJe
     """All scaled partials d^alpha f(x0)/alpha! with |alpha| <= k.
 
     One multivariate jet evaluation produces the full table; mixed partials
-    are symmetric by construction.
+    are symmetric by construction.  With one variable the table holds
+    exactly the coefficients of ``taylor_jet``.
     """
     names = list(vars)
-    center = tuple(_as_lc(c) for c in x0)
+    center = tuple(as_lc(c) for c in x0)
     if len(names) != len(center):
         raise ValueError("vars and x0 must have the same length")
     if not names:
         raise ValueError("need at least one variable")
-    if k < 0:
-        raise ValueError("jet order must be >= 0")
-    for c in center:
-        if c.horizon != INF and c.horizon < k + 1:
-            raise OrderTooHighError(
-                f"jet order {k} needs center horizon >= {k + 1}, have {c.horizon}"
-            )
-    n = len(names)
-    env = {
-        name: _JetN.variable(center[i], i, n, k) for i, name in enumerate(names)
-    }
-    jet = _eval_on_jets(f, env)
-    table = {alpha: jet.coeffs.get(alpha, ZERO) for alpha in multi_indices(n, k)}
-    return PartialJet(center, k, table)
+    coeffs = _jet_at(f, names, center, k)
+    return PartialJet(center, k, dict(zip(_layout(len(names), k).indices, coeffs)))
+
+
+@functools.cache
+def _horner_plan(n: int, k: int) -> tuple:
+    """Nested Horner schedule for the multi-indices of degree <= k.
+
+    Level i lists a_i from k - (a_1 + ... + a_{i-1}) down to 0; each entry
+    is the plan of the next level, or at the last level the multi-index.
+    """
+
+    def level(prefix: tuple, r: int) -> tuple:
+        if len(prefix) == n - 1:
+            return tuple(prefix + (a,) for a in range(r, -1, -1))
+        return tuple(level(prefix + (a,), r - a) for a in range(r, -1, -1))
+
+    return level((), k)
+
+
+def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> LCNumber:
+    last = i == len(v) - 1
+    result = None
+    for entry in plan:
+        term = table[entry] if last else _horner(table, entry, v, i + 1)
+        result = term if result is None else result * v[i] + term
+    return result
+
+
+def _direction(pj: PartialJet, v: Sequence) -> list[LCNumber]:
+    vec = [as_lc(c) for c in v]
+    if len(vec) != pj.n:
+        raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
+    return vec
 
 
 def directional_power(pj: PartialJet, v: Sequence, j: int) -> LCNumber:
@@ -435,62 +395,28 @@ def directional_power(pj: PartialJet, v: Sequence, j: int) -> LCNumber:
     """
     if j > pj.order:
         raise OrderTooHighError(f"order {j} exceeds jet order {pj.order}")
-    vec = [_as_lc(c) for c in v]
-    if len(vec) != pj.n:
-        raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
-    powers = []
-    for comp in vec:
-        ladder = [ONE]
-        for _ in range(j):
-            ladder.append(ladder[-1] * comp)
-        powers.append(ladder)
-    total = ZERO
-    for alpha, coeff in pj.table.items():
-        if sum(alpha) != j or not coeff:
-            continue
-        prod = coeff
-        for i, a in enumerate(alpha):
-            if a:
-                prod = prod * powers[i][a]
-        total = total + prod
-    return total * float(math.factorial(j))
+    vec = _direction(pj, v)
+    degree_j = {a: (c if sum(a) == j else ZERO) for a, c in pj.table.items()}
+    return _horner(degree_j, _horner_plan(pj.n, j), vec) * float(math.factorial(j))
 
 
 def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
-    """sum(table[alpha] * v^alpha) over |alpha| <= k.
+    """sum(table[alpha] * v^alpha) over |alpha| <= k, by nested Horner.
 
     Equals f(x0) + sum((1/j!) * directional_power(pj, v, j), j = 1..k) with
-    the factorials cancelled, in a single pass over the table.
+    the factorials cancelled.  With one variable it performs exactly the
+    operations of ``taylor_polynomial_eval``.
     """
     if k > pj.order:
         raise OrderTooHighError(f"order {k} exceeds jet order {pj.order}")
-    vec = [_as_lc(c) for c in v]
-    powers = []
-    for comp in vec:
-        ladder = [ONE]
-        for _ in range(k):
-            ladder.append(ladder[-1] * comp)
-        powers.append(ladder)
-    total = ZERO
-    for alpha, coeff in pj.table.items():
-        if sum(alpha) > k or not coeff:
-            continue
-        prod = coeff
-        for i, a in enumerate(alpha):
-            if a:
-                prod = prod * powers[i][a]
-                if not prod:
-                    break
-        if prod:
-            total = total + prod
-    return total
+    return _horner(pj.table, _horner_plan(pj.n, k), _direction(pj, v))
 
 
 def taylor_polynomial_eval(jet: TaylorJet, y, k: int) -> LCNumber:
     """Evaluate the degree-k Taylor polynomial of the jet at y (Horner)."""
     if k > jet.order:
         raise OrderTooHighError(f"order {k} exceeds jet order {jet.order}")
-    delta = _as_lc(y) - jet.center
+    delta = as_lc(y) - jet.center
     result = jet.coeffs[k]
     for j in range(k - 1, -1, -1):
         result = result * delta + jet.coeffs[j]
@@ -503,7 +429,7 @@ def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:
     The quotient's valuation classifies the limit: positive means 0, zero
     means the finite limit (its real part), negative means infinitely large.
     """
-    a = _as_lc(a)
+    a = as_lc(a)
     fa = eval_lc(f, {var: a})
     ga = eval_lc(g, {var: a})
     if fa or ga:
@@ -524,10 +450,3 @@ def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:
     if lam == 0:
         return LCNumber.from_real(q.real_part())
     raise InfiniteLimitError(f"quotient has valuation {lam} < 0")
-
-
-def _as_lc(x) -> LCNumber:
-    coerced = LCNumber._coerce(x)
-    if coerced is None:
-        raise TypeError(f"expected an LC number, got {type(x).__name__}")
-    return coerced

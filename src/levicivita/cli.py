@@ -42,6 +42,14 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
+#: Exit codes of the decided verdicts; every other verdict is inconclusive.
+_VERDICT_EXIT = {
+    "pass": EXIT_OK,
+    "certified_at_scale": EXIT_OK,
+    "fail": EXIT_FAIL,
+    "refuted": EXIT_FAIL,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 3, not argparse's 2
@@ -193,7 +201,7 @@ def _cmd_wlud_check(args) -> int:
         lines.append(f"lhs: {format_lc(lhs)}")
         lines.append(f"rhs: {format_lc(rhs)}")
     _emit(args, lines, payload)
-    return EXIT_OK if report.result == "pass" else EXIT_FAIL
+    return _VERDICT_EXIT.get(report.result, EXIT_INCONCLUSIVE)
 
 
 def _cmd_analyticity(args) -> int:
@@ -217,11 +225,7 @@ def _cmd_analyticity(args) -> int:
         f"identity checks: {len(cert.identity_checks)}",
     ]
     _emit(args, lines, payload)
-    if cert.verdict == "certified_at_scale":
-        return EXIT_OK
-    if cert.verdict == "refuted":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return _VERDICT_EXIT.get(cert.verdict, EXIT_INCONCLUSIVE)
 
 
 _COMMANDS = {
@@ -248,10 +252,9 @@ def main(argv=None) -> int:
         if horizon is not None:
             set_default_horizon(horizon)
         return _COMMANDS[args.command](args)
-    except (LCError, ArithmeticError, ValueError, RecursionError) as exc:
+    except (LCError, ArithmeticError, ValueError) as exc:
         # ArithmeticError covers ZeroDivisionError and the OverflowError of
-        # math.exp on a too-large real argument; RecursionError, a sum of
-        # thousands of terms, whose tree evaluation recurses per operator.
+        # math.exp on a too-large real argument.
         print(f"levicivita: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -537,6 +537,14 @@ ONE = LCNumber(((Fraction(0), 1.0),), INF)
 D = LCNumber(((Fraction(1), 1.0),), INF)
 
 
+def as_lc(x) -> LCNumber:
+    """x as an LCNumber; ints, floats and Fractions are converted exactly."""
+    coerced = LCNumber._coerce(x)
+    if coerced is None:
+        raise TypeError(f"expected an LC number, got {type(x).__name__}")
+    return coerced
+
+
 def valuation(x: LCNumber) -> Valuation:
     return x.valuation()
 

@@ -4,6 +4,8 @@ Plain ``ZeroDivisionError`` is raised for inversion of a value with no
 visible terms, matching the builtin semantics.
 """
 
+import builtins
+
 
 class LCError(Exception):
     """Base class for all library-specific errors."""
@@ -59,6 +61,14 @@ class UnboundVariableError(LCError):
 
 class NotDifferentiableError(LCError):
     """Symbolic differentiation hit a node with no derivative (abs)."""
+
+
+class RecursionError(LCError, builtins.RecursionError):
+    """Expression tree too deep to evaluate within the interpreter's
+    recursion limit (evaluation recurses once per operator).
+
+    It also subclasses the builtin, so handlers of the builtin still match.
+    """
 
 
 class NonJetResultError(LCError):

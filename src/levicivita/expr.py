@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from . import series
+from . import errors, series
 from .core import LCNumber, default_horizon
 from .errors import LCSyntaxError, NotDifferentiableError, UnboundVariableError
 
@@ -458,7 +458,10 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     Derivative trees share subtrees heavily (they are DAGs), so results are
     memoized per node identity for the duration of one evaluation.
     """
-    return _eval_lc(e, env, {})
+    try:
+        return _eval_lc(e, env, {})
+    except RecursionError:
+        raise errors.RecursionError("expression too deep for evaluation") from None
 
 
 def _eval_lc(e: Expr, env: Mapping[str, LCNumber], memo: dict) -> LCNumber:

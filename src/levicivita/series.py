@@ -25,6 +25,7 @@ from .core import (
     Ordering,
     Valuation,
     ZERO,
+    as_lc,
     default_horizon,
     format_lc,
 )
@@ -225,7 +226,7 @@ def _run_series(first: LCNumber, steps, limit: Valuation) -> LCNumber:
 
 def exp(x) -> LCNumber:
     """exp of a finite argument: exp(r) * sum(i^j / j!) for x = r + i."""
-    x = _require_lc(x)
+    x = as_lc(x)
     if x and x.valuation() < 0:
         raise DomainError("exp of an infinitely large argument")
     r = x.real_part()
@@ -249,7 +250,7 @@ def exp(x) -> LCNumber:
 
 def ln(x) -> LCNumber:
     """ln of a finite positive argument: ln(a0) + sum((-1)^(j+1) u^j / j)."""
-    x = _require_lc(x)
+    x = as_lc(x)
     if not x or x.valuation() != 0 or x.terms[0][1] <= 0:
         raise DomainError("ln requires a finite argument with positive real part")
     a0 = x.terms[0][1]
@@ -308,11 +309,11 @@ def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
 
 
 def sin(x) -> LCNumber:
-    return _sin_cos(_require_lc(x))[0]
+    return _sin_cos(as_lc(x))[0]
 
 
 def cos(x) -> LCNumber:
-    return _sin_cos(_require_lc(x))[1]
+    return _sin_cos(as_lc(x))[1]
 
 
 _ELEMENTARY = {"exp": exp, "ln": ln, "sin": sin, "cos": cos}
@@ -333,7 +334,7 @@ def nth_root(x, n: int) -> LCNumber:
     Writes x = a*d^q*(1 + u) and returns a^(1/n) * d^(q/n) * (1+u)^(1/n);
     the result r satisfies r^n == x up to horizon.  Requires x > 0.
     """
-    x = _require_lc(x)
+    x = as_lc(x)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"root index must be a positive integer, got {n!r}")
     if x.compare(ZERO) is not Ordering.GREATER:
@@ -360,10 +361,3 @@ def nth_root(x, n: int) -> LCNumber:
 
     acc = _run_series(ONE.truncate(limit), steps(), limit)
     return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + shift)
-
-
-def _require_lc(x) -> LCNumber:
-    coerced = LCNumber._coerce(x)
-    if coerced is None:
-        raise TypeError(f"expected an LC number, got {type(x).__name__}")
-    return coerced

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,6 +33,8 @@ from .core import (
     Ordering,
     Valuation,
     ZERO,
+    as_lc,
+    default_horizon,
     format_lc,
     monomial,
 )
@@ -42,7 +44,6 @@ from .calculus import (
     partial_jet,
     partial_taylor_eval,
     taylor_jet,
-    taylor_polynomial_eval,
 )
 from .series import _taylor_sum, lambda0_estimate, recenter
 
@@ -151,7 +152,7 @@ class WludReport:
     epsilon: LCNumber
     delta: LCNumber
     samples: int
-    result: str  # "pass" | "fail"
+    result: str  # "pass" | "fail" | "inconclusive" (no pair decided)
     worst_pair: Optional[tuple]  # (x, y, lhs, rhs)
     margin: Optional[Valuation]  # lambda(rhs) - lambda(lhs); > 0 means violation
     inconclusive: int = 0  # pairs whose deciding comparison was ambiguous
@@ -218,54 +219,15 @@ def wlud_check_1d(
     """Sample the order-k uniform remainder bound on (x0-delta, x0+delta).
 
     Each sampled pair (x, y) tests |f(y) - T_k[f, x](y)| <= eps*|y-x|^k with
-    the jet of f taken at x.  Fails fast on the first violating pair; pairs
-    whose comparison is indistinguishable at horizon are counted as
-    inconclusive rather than decided.
+    the jet of f taken at x.  This is ``wlud_check_nd`` with one variable,
+    reported with plain numbers in place of 1-tuples.
     """
-    plan = plan or SamplingPlan()
-    x0 = _lc(x0)
-    eps = _require_positive(_lc(eps), "eps")
-    delta = _require_positive(_lc(delta), "delta")
-    pts = plan.points(x0, delta)
-    return _run_check_1d(f, var, x0, k, eps, delta, plan, pts, {}, {}, k)
-
-
-def _run_check_1d(f, var, x0, k, eps, delta, plan, pts, jets, fvals, jet_order):
-    # jets/fvals may be shared by callers running several orders over the
-    # same sample set; jets are taken at jet_order >= k and sliced.
-    pairs = plan.pair_indices(len(pts))
-    worst_margin: Optional[Valuation] = None
-    worst_pair = None
-    inconclusive = 0
-    samples = 0
-    result = "pass"
-    for i, j in pairs:
-        x, y = pts[i], pts[j]
-        if i not in jets:
-            jets[i] = taylor_jet(f, var, x, jet_order)
-        if j not in fvals:
-            fvals[j] = eval_lc(f, {var: y})
-        approx = taylor_polynomial_eval(jets[i], y, k)
-        fy = fvals[j]
-        lhs = abs(_filtered_residual(fy - approx, fy, approx))
-        rhs = eps * abs(y - x) ** k
-        samples += 1
-        order = lhs.compare(rhs)
-        margin = _margin(lhs, rhs)
-        if worst_margin is None or margin > worst_margin:
-            worst_margin = margin
-            worst_pair = (x, y, lhs, rhs)
-        if order is Ordering.EQUAL_AT_HORIZON:
-            inconclusive += 1
-            continue
-        if order is Ordering.GREATER:
-            result = "fail"
-            worst_margin = margin
-            worst_pair = (x, y, lhs, rhs)
-            break
-    return WludReport(
-        x0, k, eps, delta, samples, result, worst_pair, worst_margin, inconclusive
-    )
+    r = wlud_check_nd(f, [var], (x0,), k, eps, delta, plan)
+    worst = r.worst_pair
+    if worst is not None:
+        (x,), (y,), lhs, rhs = worst
+        worst = (x, y, lhs, rhs)
+    return replace(r, x0=r.x0[0], worst_pair=worst)
 
 
 def _sup_norm(components: Sequence[LCNumber]) -> LCNumber:
@@ -286,24 +248,28 @@ def wlud_check_nd(
     delta,
     plan: Optional[SamplingPlan] = None,
 ) -> WludReport:
-    """n-variable analogue over the sup-norm ball B_delta(x0).
+    """Sample the order-k uniform remainder bound on the sup-norm ball
+    B_delta(x0).
 
     Tests |f(eta) - f(xi) - sum((1/j!) ((eta-xi).grad)^j f(xi), j=1..k)|
     <= eps*|eta-xi|^k at sampled xi, eta, with all partials taken from one
-    multivariate jet per xi.
+    multivariate jet per xi.  Fails fast on the first violating pair; pairs
+    whose comparison is indistinguishable at horizon are counted as
+    inconclusive rather than decided, and a check that decides no pair is
+    inconclusive.
     """
     plan = plan or SamplingPlan()
     names = list(vars)
-    center = tuple(_lc(c) for c in x0)
-    eps = _require_positive(_lc(eps), "eps")
-    delta = _require_positive(_lc(delta), "delta")
+    center = tuple(as_lc(c) for c in x0)
+    eps = _require_positive(as_lc(eps), "eps")
+    delta = _require_positive(as_lc(delta), "delta")
     pts = plan.points_nd(center, delta)
-    return _run_check_nd(
-        f, names, center, k, eps, delta, plan, pts, {}, {}, k
-    )
+    return _run_check(f, names, center, k, eps, delta, plan, pts, {}, {}, k)
 
 
-def _run_check_nd(f, names, center, k, eps, delta, plan, pts, jets, fvals, jet_order):
+def _run_check(f, names, center, k, eps, delta, plan, pts, jets, fvals, jet_order):
+    # jets/fvals may be shared by callers running several orders over the
+    # same sample set; jets are taken at jet_order >= k.
     pairs = plan.pair_indices(len(pts))
     worst_margin: Optional[Valuation] = None
     worst_pair = None
@@ -335,6 +301,8 @@ def _run_check_nd(f, names, center, k, eps, delta, plan, pts, jets, fvals, jet_o
             worst_margin = margin
             worst_pair = (xi, eta, lhs, rhs)
             break
+    if result == "pass" and inconclusive == samples:
+        result = "inconclusive"
     return WludReport(
         center, k, eps, delta, samples, result, worst_pair, worst_margin, inconclusive
     )
@@ -353,30 +321,13 @@ def delta_ladder_search(
     The ladder must be sorted descending; orders with no passing candidate
     are simply absent from the result (absence is data, not an error).
     """
-    ladder = list(ladder) if ladder is not None else default_delta_ladder()
-    plan = plan or SamplingPlan()
-    x0 = _lc(x0)
-    caches: dict[int, tuple] = {}  # per candidate: (pts, jets, fvals)
-    out = []
-    for k in range(1, kmax + 1):
-        for ci, candidate in enumerate(ladder):
-            _require_positive(candidate, "ladder candidate")
-            if ci not in caches:
-                caches[ci] = (plan.points(x0, candidate), {}, {})
-            pts, jets, fvals = caches[ci]
-            report = _run_check_1d(
-                f, var, x0, k, ONE, candidate, plan, pts, jets, fvals, kmax
-            )
-            if report.result == "pass":
-                out.append((k, candidate, candidate.valuation()))
-                break
-    return out
+    return _delta_ladder_search_nd(f, [var], (as_lc(x0),), kmax, ladder, plan)
 
 
 def _delta_ladder_search_nd(f, names, x0, kmax, ladder, plan):
     ladder = list(ladder) if ladder is not None else default_delta_ladder()
     plan = plan or SamplingPlan()
-    caches: dict[int, tuple] = {}
+    caches: dict[int, tuple] = {}  # per candidate: (pts, jets, fvals)
     out = []
     for k in range(1, kmax + 1):
         for ci, candidate in enumerate(ladder):
@@ -384,7 +335,7 @@ def _delta_ladder_search_nd(f, names, x0, kmax, ladder, plan):
             if ci not in caches:
                 caches[ci] = (plan.points_nd(x0, candidate), {}, {})
             pts, jets, fvals = caches[ci]
-            report = _run_check_nd(
+            report = _run_check(
                 f, names, x0, k, ONE, candidate, plan, pts, jets, fvals, kmax
             )
             if report.result == "pass":
@@ -430,14 +381,14 @@ def analyticity_certificate_1d(
     plan = plan or SamplingPlan()
     if jmax < 1 or kmax < 1:
         raise ValueError("jmax and kmax must be >= 1")
-    x0 = _lc(x0)
+    x0 = as_lc(x0)
     jet = taylor_jet(f, var, x0, jmax)
     ps = jet.to_power_series()
     if window is None:
         window = max(1, jmax // 2)
     lam0 = lambda0_estimate(ps, window)
     lam0_head = lambda0_estimate(ps, jmax)
-    entries = delta_ladder_search(f, var, x0, kmax, ladder, plan)
+    entries = _delta_ladder_search_nd(f, [var], (x0,), kmax, ladder, plan)
     complete, _max_lam, t = _ladder_summary(entries, kmax)
     if not complete:
         return AnalyticityCertificate(
@@ -453,8 +404,6 @@ def analyticity_certificate_1d(
     verdict = "certified_at_scale"
     growth = _growth_floor(lam0_head)
     fvals: dict[int, LCNumber] = {}
-    from .core import default_horizon
-
     for x in xs:
         series_x = ps if x == x0 else recenter(ps, x, window)
         for idx, y in enumerate(pts):
@@ -519,7 +468,7 @@ def analyticity_certificate_nd(
     if jmax < 1 or kmax < 1:
         raise ValueError("jmax and kmax must be >= 1")
     names = list(vars)
-    center = tuple(_lc(c) for c in x0)
+    center = tuple(as_lc(c) for c in x0)
     n = len(center)
     pj = partial_jet(f, names, center, jmax)
     if window is None:
@@ -540,7 +489,6 @@ def analyticity_certificate_nd(
     checks = []
     verdict = "certified_at_scale"
     growth = _growth_floor(lam0_head)
-    from .core import default_horizon
 
     for eta in pts:
         feta = eval_lc(f, dict(zip(names, eta)))
@@ -645,10 +593,3 @@ def certificate_to_json(c: AnalyticityCertificate) -> dict:
         ],
         "verdict": c.verdict,
     }
-
-
-def _lc(x) -> LCNumber:
-    coerced = LCNumber._coerce(x)
-    if coerced is None:
-        raise TypeError(f"expected an LC number, got {type(x).__name__}")
-    return coerced

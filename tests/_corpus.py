@@ -7,6 +7,16 @@ from fractions import Fraction
 
 from levicivita import LCNumber
 
+#: Criterion 3's expressions in x: polynomials, exp, ln, sin, cos and mixes.
+CORPUS_30 = [
+    "x^2", "x^3 - 2*x", "x^8 - 3*x^5 + 2*x^2 - 7*x + 1", "5*x^4 + x", "x^6 - x",
+    "exp(x)", "exp(2*x)", "exp(-x)", "x*exp(x)", "exp(x^2)",
+    "ln(1+x)", "ln(1+x^2)", "x*ln(1+x)", "ln(1+x)/(2+x)", "ln(1+x/2)",
+    "sin(x)", "cos(x)", "sin(2*x)", "sin(x)*cos(x)", "x^2*sin(x)",
+    "exp(x)*sin(x)", "exp(x)*cos(x)", "cos(x^2)", "sin(x)^2", "cos(x)^3",
+    "x^3*exp(x)", "exp(sin(x))", "sin(exp(x)-1)", "(1+x^2)*cos(x)", "exp(x)*ln(1+x)",
+]
+
 
 def field_suite_number(rng: random.Random, max_terms: int = 8) -> LCNumber:
     """Exponent denominators <= 6 in [-5, 5], dyadic coefficients, horizon 32."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levicivita import (
     D,
@@ -19,19 +20,24 @@ from levicivita import (
     monomial,
     multi_indices,
     parse_expr,
+    parse_lc,
     partial_jet,
     taylor_jet,
     taylor_polynomial_eval,
 )
+from levicivita import errors
 from levicivita.calculus import partial_taylor_eval
 from levicivita.errors import (
     DomainError,
     InfiniteLimitError,
+    LCError,
     NonJetResultError,
     NotIndeterminateError,
     OrderTooHighError,
     ZeroDenominatorError,
 )
+
+from _corpus import CORPUS_30
 
 F = Fraction
 
@@ -200,6 +206,60 @@ def test_partial_jet_exp_is_clean():
     for alpha, coeff in pj.table.items():
         ref = 1.0 / (math.factorial(alpha[0]) * math.factorial(alpha[1]))
         assert coeff.real_part() == pytest.approx(ref, rel=1e-13)
+
+
+# -- one variable is the n = 1 case ------------------------------------------------------
+
+
+@pytest.mark.parametrize("center", ["1/2", "1/2 + d - 3d^(3/2)"])
+def test_partial_jet_one_variable_is_taylor_jet(center):
+    x0 = parse_lc(center)
+    for text in CORPUS_30:
+        f = parse_expr(text)
+        tj = taylor_jet(f, "x", x0, 8)
+        pj = partial_jet(f, ["x"], [x0], 8)
+        assert [pj.table[(j,)] for j in range(9)] == list(tj.coeffs), text
+
+
+def test_partial_taylor_eval_one_variable_is_taylor_polynomial_eval():
+    for text, center, y in [
+        ("exp(x)*sin(x)", "0", "d^(1/2) - 2d"),
+        ("ln(1+x)/(2+x)", "1/2 + d", "1/2 - d^(3/2)"),
+        ("x^8 - 3*x^5 + 2*x^2 - 7*x + 1", "1", "1 + 3d"),
+    ]:
+        f, x0, y = parse_expr(text), parse_lc(center), parse_lc(y)
+        tj = taylor_jet(f, "x", x0, 6)
+        pj = partial_jet(f, ["x"], [x0], 6)
+        for k in range(7):
+            assert partial_taylor_eval(pj, (y - x0,), k) == taylor_polynomial_eval(tj, y, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(CORPUS_30),
+    x0=st.floats(min_value=-0.5, max_value=1.0, allow_nan=False),
+)
+def test_jet_coefficients_are_shift_coefficients(text, x0):
+    # f(x0 + d) = sum(c_j d^j): the jet read off by the infinitesimal shift
+    f = parse_expr(text)
+    center = real(x0)
+    jet = taylor_jet(f, "x", center, 8)
+    shifted = dict(eval_lc(f, {"x": center + D}).terms)
+    for j, c in enumerate(jet.coeffs):
+        mine, ref = c.real_part(), shifted.get(F(j), 0.0)
+        assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref)), (j, mine, ref)
+
+
+@pytest.mark.parametrize(
+    "jet",
+    [lambda f: taylor_jet(f, "x", ONE, 1), lambda f: partial_jet(f, ["x"], [ONE], 1)],
+    ids=["taylor_jet", "partial_jet"],
+)
+def test_jet_of_deep_expression_raises_library_error(jet):
+    f = parse_expr("x" + "+x" * 3000)  # evaluation recurses once per operator
+    with pytest.raises(errors.RecursionError) as info:
+        jet(f)
+    assert isinstance(info.value, LCError)
 
 
 # -- directional powers ----------------------------------------------------------------

@@ -84,6 +84,31 @@ def test_wlud_check_pass_exit_code(capsys):
     assert "result: pass" in out
 
 
+def test_wlud_check_with_no_decided_pair_exit_2(capsys):
+    # every pair's remainder and bound agree on all visible terms
+    code, out, _ = run(
+        capsys, "--format", "json", "--horizon", "30", "wlud-check", "abs(x)",
+        "--var", "x", "--at", "1+d^29", "--k", "1", "--eps", "1", "--delta", "d^29",
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["result"] == "inconclusive"
+    assert payload["samples"] == 400
+
+
+def test_wlud_check_nd_with_no_pairs_exit_2(capsys):
+    # every offset lies beyond the horizon, so all points coincide
+    code, out, _ = run(
+        capsys, "--format", "json", "--horizon", "30", "wlud-check", "abs(x)+y",
+        "--var", "x", "--var", "y", "--at", "1+d^29", "--at", "2+d^29",
+        "--k", "1", "--eps", "1", "--delta", "d^29",
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["result"] == "inconclusive"
+    assert payload["samples"] == 0
+
+
 def test_wlud_check_json_deterministic(capsys):
     args = (
         "--format", "json", "wlud-check", "x^2", "--var", "x", "--at", "0",

@@ -26,7 +26,9 @@ from levicivita import (
     print_expr,
     variables,
 )
+from levicivita import errors
 from levicivita.errors import (
+    LCError,
     LCSyntaxError,
     NotDifferentiableError,
     UnboundVariableError,
@@ -201,6 +203,13 @@ def test_eval_unbound_variable():
 def test_eval_zero_division():
     with pytest.raises(ZeroDivisionError):
         eval_lc(parse_expr("1/x"), {"x": ZERO})
+
+
+def test_eval_deep_expression_raises_library_error():
+    f = parse_expr("x" + "+x" * 3000)  # parses iteratively, evaluates recursively
+    with pytest.raises(errors.RecursionError) as info:
+        eval_lc(f, {"x": ONE})
+    assert isinstance(info.value, LCError)
 
 
 def test_eval_variable_free_matches_binary64():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,19 @@ def test_check_validates_radii():
         wlud_check_1d(parse_expr("x"), "x", ZERO, 1, 1, ZERO, FAST_PLAN)
     with pytest.raises(ValueError):
         wlud_check_1d(parse_expr("x"), "x", ZERO, 1, -1, D, FAST_PLAN)
+
+
+def test_check_1d_is_check_nd_with_one_variable():
+    cases = [
+        ("abs(x)", ZERO, 1), ("abs(x)", ONE, 2), ("exp(x)", ZERO, 2),
+        ("sin(x)*exp(x)", 0.5 + D, 3), ("x^3", ZERO, 2),
+    ]
+    for text, x0, k in cases:
+        f = parse_expr(text)
+        one = wlud_check_1d(f, "x", x0, k, 1, D, FAST_PLAN)
+        nd = wlud_check_nd(f, ["x"], [x0], k, 1, D, FAST_PLAN)
+        (x,), (y,), lhs, rhs = nd.worst_pair
+        assert one == replace(nd, x0=nd.x0[0], worst_pair=(x, y, lhs, rhs)), text
 
 
 # -- n-variable checks ------------------------------------------------------------------
