@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from . import errors, series
+from . import series
 from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc
 from .errors import (
     InfiniteLimitError,
@@ -27,21 +27,9 @@ from .errors import (
     NotIndeterminateError,
     NotPositiveError,
     OrderTooHighError,
-    UnboundVariableError,
     ZeroDenominatorError,
 )
-from .expr import (
-    Add,
-    Apply,
-    Div,
-    Expr,
-    IntPow,
-    Mul,
-    RationalConst,
-    Sub,
-    Variable,
-    eval_lc,
-)
+from .expr import Expr, eval_lc, evaluate
 from .series import PowerSeries
 
 
@@ -201,19 +189,16 @@ class _Jet:
             jet.c[layout.indices.index(unit)] = ONE
         return jet
 
-    def const_like(self, value: float) -> "_Jet":
-        return _Jet.constant(LCNumber.from_real(value), self.layout)
-
-    def add(self, other: "_Jet") -> "_Jet":
+    def __add__(self, other: "_Jet") -> "_Jet":
         return _Jet(self.layout, [a + b for a, b in zip(self.c, other.c)])
 
-    def sub(self, other: "_Jet") -> "_Jet":
+    def __sub__(self, other: "_Jet") -> "_Jet":
         return _Jet(self.layout, [a - b for a, b in zip(self.c, other.c)])
 
-    def neg(self) -> "_Jet":
+    def __neg__(self) -> "_Jet":
         return _Jet(self.layout, [-a for a in self.c])
 
-    def mul(self, other: "_Jet") -> "_Jet":
+    def __mul__(self, other: "_Jet") -> "_Jet":
         out = [ZERO] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
@@ -225,17 +210,17 @@ class _Jet:
                     out[r] = out[r] + a * bq
         return _Jet(self.layout, out)
 
-    def int_pow(self, n: int) -> "_Jet":
+    def __pow__(self, n: int) -> "_Jet":
         if n < 0:
-            return self.inv().int_pow(-n)
+            return self.inv() ** -n
         result = _Jet.constant(ONE, self.layout)
         base = self
         while n:
             if n & 1:
-                result = result.mul(base)
+                result = result * base
             n >>= 1
             if n:
-                base = base.mul(base)
+                base = base * base
         return result
 
     def inv(self) -> "_Jet":
@@ -255,7 +240,7 @@ class _Jet:
         g = _Jet(self.layout, [ZERO] + self.c[1:])
         result = _Jet.constant(derivs[-1], self.layout)
         for d in reversed(derivs[:-1]):
-            result = result.mul(g)
+            result = result * g
             result.c[0] = result.c[0] + d
         return result
 
@@ -265,39 +250,11 @@ class _Jet:
             if sign is Ordering.GREATER:
                 return self
             if sign is Ordering.LESS:
-                return self.neg()
+                return -self
             raise NonJetResultError(
                 "abs at a point indistinguishable from 0 has no polynomial jet"
             )
         return self.compose(_scaled_derivs(name, self.c[0], self.layout.k))
-
-
-# -- expression evaluation on jets ----------------------------------------------
-
-
-def _eval_on_jets(e: Expr, env: Mapping[str, object]):
-    match e:
-        case RationalConst(value):
-            proto = next(iter(env.values()))
-            return proto.const_like(float(value))
-        case Variable(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariableError(name) from None
-        case Add(left, right):
-            return _eval_on_jets(left, env).add(_eval_on_jets(right, env))
-        case Sub(left, right):
-            return _eval_on_jets(left, env).sub(_eval_on_jets(right, env))
-        case Mul(left, right):
-            return _eval_on_jets(left, env).mul(_eval_on_jets(right, env))
-        case Div(left, right):
-            return _eval_on_jets(left, env).mul(_eval_on_jets(right, env).inv())
-        case IntPow(base, exponent):
-            return _eval_on_jets(base, env).int_pow(exponent)
-        case Apply(func, arg):
-            return _eval_on_jets(arg, env).apply(func)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # -- public operations -----------------------------------------------------------
@@ -318,10 +275,9 @@ def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumb
     env = {
         name: _Jet.variable(c, i, layout) for i, (name, c) in enumerate(zip(names, center))
     }
-    try:
-        return _eval_on_jets(f, env).c
-    except RecursionError:
-        raise errors.RecursionError("expression too deep for jet evaluation") from None
+    return evaluate(
+        f, env, lambda c: _Jet.constant(c, layout), lambda name, jet: jet.apply(name)
+    ).c
 
 
 def taylor_jet(f: Expr, var: str, x0, k: int) -> TaylorJet:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
-from . import errors, series
+from . import series
 from .core import LCNumber, default_horizon
 from .errors import LCSyntaxError, NotDifferentiableError, UnboundVariableError
 
@@ -452,51 +452,73 @@ def _parse_lc_exponent(sc: _Scanner) -> Fraction:
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
-    """Evaluate over LC arguments, delegating to the field/series operations.
+def evaluate(
+    e: Expr,
+    env: Mapping[str, object],
+    lift: Callable[[LCNumber], object],
+    apply: Callable[[str, object], object],
+):
+    """Evaluate e over any domain whose values have ``+ - * **`` and ``.inv()``.
 
-    Derivative trees share subtrees heavily (they are DAGs), so results are
-    memoized per node identity for the duration of one evaluation.
+    ``lift`` puts a constant, given as an LCNumber, into the domain and
+    ``apply(name, value)`` evaluates a named function there.  The walk keeps
+    an explicit stack, so expressions of any depth evaluate: operands come
+    before their node, left before right, and each node of a shared DAG
+    (derivative trees are DAGs) is evaluated once per call.
     """
-    try:
-        return _eval_lc(e, env, {})
-    except RecursionError:
-        raise errors.RecursionError("expression too deep for evaluation") from None
-
-
-def _eval_lc(e: Expr, env: Mapping[str, LCNumber], memo: dict) -> LCNumber:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    match e:
-        case RationalConst(value):
-            result = LCNumber.from_real(float(value))
-        case Variable(name):
+    vals: dict[int, object] = {}
+    stack = [e]
+    # Operands are looked up with `in`, never vals.get(...) is None: a None
+    # value must reach its operator and raise there, not be re-evaluated.
+    # Dispatch is on the exact node type; class patterns cost more per node.
+    while stack:
+        node = stack[-1]
+        if id(node) in vals:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Add or kind is Sub or kind is Mul or kind is Div:
+            a, b = node.left, node.right
+            if id(a) not in vals or id(b) not in vals:
+                # the right operand goes first, so the left is on top
+                if id(b) not in vals:
+                    stack.append(b)
+                if id(a) not in vals:
+                    stack.append(a)
+                continue
+            x, y = vals[id(a)], vals[id(b)]
+            if kind is Add:
+                result = x + y
+            elif kind is Sub:
+                result = x - y
+            elif kind is Mul:
+                result = x * y
+            else:
+                result = x * y.inv()
+        elif kind is IntPow or kind is Apply:
+            a = node.base if kind is IntPow else node.arg
+            if id(a) not in vals:
+                stack.append(a)
+                continue
+            x = vals[id(a)]
+            result = x**node.exponent if kind is IntPow else apply(node.func, x)
+        elif kind is RationalConst:
+            result = lift(LCNumber.from_real(float(node.value)))
+        elif kind is Variable:
             try:
-                result = env[name]
+                result = env[node.name]
             except KeyError:
-                raise UnboundVariableError(name) from None
-        case Add(left, right):
-            result = _eval_lc(left, env, memo) + _eval_lc(right, env, memo)
-        case Sub(left, right):
-            result = _eval_lc(left, env, memo) - _eval_lc(right, env, memo)
-        case Mul(left, right):
-            result = _eval_lc(left, env, memo) * _eval_lc(right, env, memo)
-        case Div(left, right):
-            result = _eval_lc(left, env, memo) * _eval_lc(right, env, memo).inv()
-        case IntPow(base, exponent):
-            result = _eval_lc(base, env, memo) ** exponent
-        case Apply("sqrt", arg):
-            result = series.nth_root(_eval_lc(arg, env, memo), 2)
-        case Apply("abs", arg):
-            result = abs(_eval_lc(arg, env, memo))
-        case Apply(func, arg):
-            result = series.apply_elementary(func, _eval_lc(arg, env, memo))
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = result
-    return result
+                raise UnboundVariableError(node.name) from None
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        stack.pop()
+        vals[id(node)] = result
+    return vals[id(e)]
+
+
+def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
+    """Evaluate over LC arguments, delegating to the field/series operations."""
+    return evaluate(e, env, lambda c: c, series.apply_elementary)
 
 
 def variables(e: Expr) -> set[str]:

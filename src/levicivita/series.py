@@ -316,11 +316,18 @@ def cos(x) -> LCNumber:
     return _sin_cos(as_lc(x))[1]
 
 
-_ELEMENTARY = {"exp": exp, "ln": ln, "sin": sin, "cos": cos}
+_ELEMENTARY = {
+    "exp": exp,
+    "ln": ln,
+    "sin": sin,
+    "cos": cos,
+    "sqrt": lambda x: nth_root(x, 2),
+    "abs": lambda x: abs(as_lc(x)),
+}
 
 
 def apply_elementary(name: str, x: LCNumber) -> LCNumber:
-    """Dispatch by name over {exp, ln, sin, cos}."""
+    """Dispatch by name over the expression functions (``expr.FUNCTIONS``)."""
     try:
         fn = _ELEMENTARY[name]
     except KeyError:

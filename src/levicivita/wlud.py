@@ -104,16 +104,11 @@ class SamplingPlan:
                 unique.append(o)
         return unique
 
-    def points(self, x0: LCNumber, delta: LCNumber) -> list[LCNumber]:
-        return [x0 + o for o in self.offsets(delta)]
-
     def points_nd(
         self, x0: Sequence[LCNumber], delta: LCNumber
     ) -> list[tuple[LCNumber, ...]]:
         n = len(x0)
         offs = self.offsets(delta)
-        if n == 1:
-            return [(x0[0] + o,) for o in offs]
         vectors = []
         span = len(offs)
         stride = max(1, span // n + 1)
@@ -397,7 +392,7 @@ def analyticity_certificate_1d(
         )
     required = _required_radius(lam0, t)
     delta = monomial(required + 1)
-    pts = plan.points(x0, delta)
+    pts = [y for (y,) in plan.points_nd((x0,), delta)]
     stride = max(1, len(pts) // 4)
     xs = [x0] + pts[::stride][:4]
     checks = []

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levicivita import (
+    Apply,
     D,
+    IntPow,
     LCNumber,
     ONE,
+    RationalConst,
+    Variable,
     ZERO,
     approx_equal,
     derivative_at,
@@ -25,12 +30,11 @@ from levicivita import (
     taylor_jet,
     taylor_polynomial_eval,
 )
-from levicivita import errors
+from levicivita import calculus
 from levicivita.calculus import partial_taylor_eval
 from levicivita.errors import (
     DomainError,
     InfiniteLimitError,
-    LCError,
     NonJetResultError,
     NotIndeterminateError,
     OrderTooHighError,
@@ -252,14 +256,61 @@ def test_jet_coefficients_are_shift_coefficients(text, x0):
 
 @pytest.mark.parametrize(
     "jet",
-    [lambda f: taylor_jet(f, "x", ONE, 1), lambda f: partial_jet(f, ["x"], [ONE], 1)],
+    [
+        lambda f: list(taylor_jet(f, "x", ONE, 1).coeffs),
+        lambda f: list(partial_jet(f, ["x"], [ONE], 1).table.values()),
+    ],
     ids=["taylor_jet", "partial_jet"],
 )
-def test_jet_of_deep_expression_raises_library_error(jet):
-    f = parse_expr("x" + "+x" * 3000)  # evaluation recurses once per operator
-    with pytest.raises(errors.RecursionError) as info:
-        jet(f)
-    assert isinstance(info.value, LCError)
+def test_jet_of_long_flat_sum(jet):
+    # 3000 operators deep: far past the interpreter's recursion limit
+    coeffs = jet(parse_expr("x" + "+x" * 3000))
+    assert coeffs == [LCNumber.from_real(3001), LCNumber.from_real(3001)]
+
+
+def test_jet_of_deeply_nested_calls():
+    f = Variable("x")
+    for _ in range(2 * sys.getrecursionlimit()):
+        f = Apply("abs", f)
+    jet = taylor_jet(f, "x", 2, 1)
+    assert jet.coeffs == (LCNumber.from_real(2), ONE)
+
+
+def test_jet_evaluates_each_shared_node_once(monkeypatch):
+    # diff_symbolic chains are DAGs; a tree walk would redo shared subtrees
+    f = parse_expr("exp(sin(x))")
+    for _ in range(6):
+        f = diff_symbolic(f, "x")
+    nodes = _distinct_nodes(f)
+    applies = sum(isinstance(node, Apply) for node in nodes)
+    assert (applies, len(nodes)) == (96, 662)
+    calls = []
+    scaled_derivs = calculus._scaled_derivs
+
+    def counting(*args):
+        calls.append(args[0])
+        return scaled_derivs(*args)
+
+    monkeypatch.setattr(calculus, "_scaled_derivs", counting)
+    taylor_jet(f, "x", 0.5, 2)
+    assert len(calls) == applies
+
+
+def _distinct_nodes(e) -> list:
+    seen, stack, out = set(), [e], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        if isinstance(node, Apply):
+            stack.append(node.arg)
+        elif isinstance(node, IntPow):
+            stack.append(node.base)
+        elif not isinstance(node, (RationalConst, Variable)):
+            stack += [node.left, node.right]
+    return out
 
 
 # -- directional powers ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,7 @@ from levicivita import (
     print_expr,
     variables,
 )
-from levicivita import errors
 from levicivita.errors import (
-    LCError,
     LCSyntaxError,
     NotDifferentiableError,
     UnboundVariableError,
@@ -205,11 +204,23 @@ def test_eval_zero_division():
         eval_lc(parse_expr("1/x"), {"x": ZERO})
 
 
-def test_eval_deep_expression_raises_library_error():
-    f = parse_expr("x" + "+x" * 3000)  # parses iteratively, evaluates recursively
-    with pytest.raises(errors.RecursionError) as info:
-        eval_lc(f, {"x": ONE})
-    assert isinstance(info.value, LCError)
+def test_eval_long_flat_sum():
+    # 3000 operators deep: far past the interpreter's recursion limit
+    f = parse_expr("x" + "+x" * 3000)
+    assert eval_lc(f, {"x": ONE}) == LCNumber.from_real(3001)
+
+
+def test_eval_deeply_nested_calls():
+    f = X
+    for _ in range(2 * sys.getrecursionlimit()):
+        f = Apply("abs", f)
+    assert eval_lc(f, {"x": LCNumber.from_real(2)}) == LCNumber.from_real(2)
+
+
+def test_eval_none_operand_raises():
+    # a None value is an operand like any other, not a missing result
+    with pytest.raises(TypeError):
+        eval_lc(parse_expr("x + 1"), {"x": None})
 
 
 def test_eval_variable_free_matches_binary64():

@@ -275,6 +275,9 @@ def test_sin_cos_at_real_points():
 
 def test_apply_elementary_dispatch():
     assert apply_elementary("exp", ZERO) == ONE
+    x = 2 + D
+    assert apply_elementary("sqrt", x) == nth_root(x, 2)
+    assert apply_elementary("abs", -x) == x
     with pytest.raises(ValueError):
         apply_elementary("tan", ZERO)
 
