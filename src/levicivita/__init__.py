@@ -22,6 +22,7 @@ from .core import (
     compare,
     default_horizon,
     format_lc,
+    horizon,
     monomial,
     much_less,
     set_default_horizon,

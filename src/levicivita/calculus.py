@@ -276,7 +276,10 @@ def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumb
         name: _Jet.variable(c, i, layout) for i, (name, c) in enumerate(zip(names, center))
     }
     return evaluate(
-        f, env, lambda c: _Jet.constant(c, layout), lambda name, jet: jet.apply(name)
+        f,
+        env,
+        lambda c: _Jet.constant(LCNumber.from_real(c), layout),
+        lambda name, jet: jet.apply(name),
     ).c
 
 

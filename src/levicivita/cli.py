@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import default_horizon, format_lc, set_default_horizon
+from .core import default_horizon, format_lc, horizon
 from .errors import LCError
 from .expr import parse_expr, parse_lc
 from .calculus import derivative_at, lhopital_limit, taylor_jet
@@ -244,21 +244,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    previous = default_horizon()
     try:
-        horizon = args.horizon
-        if horizon is None and os.environ.get("LC_HORIZON"):
-            horizon = _env_horizon(os.environ["LC_HORIZON"])
-        if horizon is not None:
-            set_default_horizon(horizon)
-        return _COMMANDS[args.command](args)
+        h = args.horizon
+        if h is None and os.environ.get("LC_HORIZON"):
+            h = _env_horizon(os.environ["LC_HORIZON"])
+        with horizon(default_horizon() if h is None else h):
+            return _COMMANDS[args.command](args)
     except (LCError, ArithmeticError, ValueError) as exc:
         # ArithmeticError covers ZeroDivisionError and the OverflowError of
         # math.exp on a too-large real argument.
         print(f"levicivita: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        set_default_horizon(previous)
 
 
 def _env_horizon(text: str) -> Fraction:

@@ -36,6 +36,8 @@ does no horizon arithmetic, and a finite horizon costs one ``Fraction``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -51,20 +53,38 @@ Valuation = Union[Fraction, float]
 # ``type(h) is float``: ``h == INF`` on a Fraction runs Fraction.__eq__.
 INF = math.inf
 
-_default_horizon = Fraction(32)
+# Each thread and asyncio task sees its own default horizon; a new thread
+# starts from exponent 32.
+_default_horizon: ContextVar[Fraction] = ContextVar(
+    "default_horizon", default=Fraction(32)
+)
 
 
 def default_horizon() -> Fraction:
     """Horizon applied to parsed literals and to otherwise-endless series."""
-    return _default_horizon
+    return _default_horizon.get()
 
 
-def set_default_horizon(horizon: Scalar) -> None:
+def _checked_horizon(horizon: Scalar) -> Fraction:
     h = Fraction(horizon)
     if h <= 0:
         raise ValueError("default horizon must be positive")
-    global _default_horizon
-    _default_horizon = h
+    return h
+
+
+def set_default_horizon(horizon: Scalar) -> None:
+    """Set the default horizon of the current thread or task."""
+    _default_horizon.set(_checked_horizon(horizon))
+
+
+@contextmanager
+def horizon(h: Scalar):
+    """``with horizon(h):`` scopes the default horizon to the block."""
+    token = _default_horizon.set(_checked_horizon(h))
+    try:
+        yield
+    finally:
+        _default_horizon.reset(token)
 
 
 class Ordering(Enum):
@@ -146,20 +166,20 @@ class LCNumber:
             if c != 0.0 and (bound is None or e < bound)
         )
         den, items = _canonical(den, items)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_iterms", items)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "_view", None)
+        _set_den(self, den)
+        _set_iterms(self, items)
+        _set_horizon(self, horizon)
+        _set_view(self, None)
 
     @classmethod
     def _from_grid(cls, den: int, iterms: tuple, horizon: Valuation) -> "LCNumber":
         # Raw constructor: iterms already canonical, sorted, zero-free,
         # clipped below horizon.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_den", den)
-        object.__setattr__(obj, "_iterms", iterms)
-        object.__setattr__(obj, "horizon", horizon)
-        object.__setattr__(obj, "_view", None)
+        _set_den(obj, den)
+        _set_iterms(obj, iterms)
+        _set_horizon(obj, horizon)
+        _set_view(obj, None)
         return obj
 
     @classmethod
@@ -198,7 +218,7 @@ class LCNumber:
         if view is None:
             den = self._den
             view = tuple((Fraction(e, den), c) for e, c in self._iterms)
-            object.__setattr__(self, "_view", view)
+            _set_view(self, view)
         return view
 
     @property
@@ -227,6 +247,20 @@ class LCNumber:
             if te > key:
                 break
         return 0.0
+
+    def exact_real(self) -> float | None:
+        """The value as a float if it is an exactly-known real, else None.
+
+        Exactly-known real: infinite horizon, and no term off exponent 0.
+        """
+        if type(self.horizon) is not float:
+            return None
+        items = self._iterms
+        if not items:
+            return 0.0
+        if len(items) == 1 and items[0][0] == 0:
+            return items[0][1]
+        return None
 
     def real_part(self) -> float:
         """Coefficient at exponent 0."""
@@ -524,6 +558,14 @@ class LCNumber:
     def __repr__(self):
         h = "inf" if self.horizon == INF else str(self.horizon)
         return f"LCNumber({format_lc(self)!r}, horizon={h})"
+
+
+# The slots' own setters: they bypass the raising __setattr__ without the
+# per-call lookup of object.__setattr__.
+_set_den = LCNumber._den.__set__
+_set_iterms = LCNumber._iterms.__set__
+_set_horizon = LCNumber.horizon.__set__
+_set_view = LCNumber._view.__set__
 
 
 def monomial(exponent, coefficient: Scalar = 1.0, horizon: Valuation = INF) -> LCNumber:

@@ -25,13 +25,21 @@ that printed binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
 from typing import Callable, Mapping, Union
 
 from . import series
 from .core import LCNumber, default_horizon
-from .errors import LCSyntaxError, NotDifferentiableError, UnboundVariableError
+from .errors import (
+    LCError,
+    LCSyntaxError,
+    NotDifferentiableError,
+    NotPositiveError,
+    UnboundVariableError,
+)
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
@@ -451,25 +459,31 @@ def _parse_lc_exponent(sc: _Scanner) -> Fraction:
 
 # -- evaluation ----------------------------------------------------------------
 
+#: Marks an operand with no value yet; None is a value like any other.
+_MISSING = object()
+
 
 def evaluate(
     e: Expr,
     env: Mapping[str, object],
-    lift: Callable[[LCNumber], object],
+    lift: Callable[[float], object],
     apply: Callable[[str, object], object],
+    inv: Callable[[object], object] = methodcaller("inv"),
+    power: Callable[[object, int], object] = pow,
 ):
-    """Evaluate e over any domain whose values have ``+ - * **`` and ``.inv()``.
+    """Evaluate e over any domain whose values have ``+ - *``.
 
-    ``lift`` puts a constant, given as an LCNumber, into the domain and
-    ``apply(name, value)`` evaluates a named function there.  The walk keeps
-    an explicit stack, so expressions of any depth evaluate: operands come
-    before their node, left before right, and each node of a shared DAG
-    (derivative trees are DAGs) is evaluated once per call.
+    ``lift`` puts a constant, given as its binary64 value, into the domain;
+    ``apply(name, value)`` evaluates a named function there, ``inv(y)`` is
+    the reciprocal (``Div`` is ``x * inv(y)``) and ``power(x, n)`` the
+    integer power.  The walk keeps an explicit stack, so expressions of any
+    depth evaluate: operands come before their node, left before right, and
+    each node of a shared DAG (derivative trees are DAGs) is evaluated once
+    per call.
     """
     vals: dict[int, object] = {}
+    get = vals.get
     stack = [e]
-    # Operands are looked up with `in`, never vals.get(...) is None: a None
-    # value must reach its operator and raise there, not be re-evaluated.
     # Dispatch is on the exact node type; class patterns cost more per node.
     while stack:
         node = stack[-1]
@@ -479,14 +493,15 @@ def evaluate(
         kind = type(node)
         if kind is Add or kind is Sub or kind is Mul or kind is Div:
             a, b = node.left, node.right
-            if id(a) not in vals or id(b) not in vals:
+            x = get(id(a), _MISSING)
+            y = get(id(b), _MISSING)
+            if x is _MISSING or y is _MISSING:
                 # the right operand goes first, so the left is on top
-                if id(b) not in vals:
+                if y is _MISSING:
                     stack.append(b)
-                if id(a) not in vals:
+                if x is _MISSING:
                     stack.append(a)
                 continue
-            x, y = vals[id(a)], vals[id(b)]
             if kind is Add:
                 result = x + y
             elif kind is Sub:
@@ -494,16 +509,16 @@ def evaluate(
             elif kind is Mul:
                 result = x * y
             else:
-                result = x * y.inv()
+                result = x * inv(y)
         elif kind is IntPow or kind is Apply:
             a = node.base if kind is IntPow else node.arg
-            if id(a) not in vals:
+            x = get(id(a), _MISSING)
+            if x is _MISSING:
                 stack.append(a)
                 continue
-            x = vals[id(a)]
-            result = x**node.exponent if kind is IntPow else apply(node.func, x)
+            result = power(x, node.exponent) if kind is IntPow else apply(node.func, x)
         elif kind is RationalConst:
-            result = lift(LCNumber.from_real(float(node.value)))
+            result = lift(float(node.value))
         elif kind is Variable:
             try:
                 result = env[node.name]
@@ -516,23 +531,104 @@ def evaluate(
     return vals[id(e)]
 
 
+# The binary64 domain.  At exactly-known reals every LC operation is one
+# binary64 operation on the single coefficient, so these hooks copy what
+# LCNumber does, and they raise, or leave a nan that reaches the result,
+# wherever it differs: LCNumber.inv rejects a non-finite reciprocal,
+# nth_root rejects 0, and 0 * inf is an exact zero in LC but nan here.
+
+
+def _float_inv(y: float) -> float:
+    r = 1.0 / y  # ZeroDivisionError at 0, as LCNumber.inv
+    if not math.isfinite(r):
+        raise OverflowError("non-finite reciprocal")
+    return r
+
+
+def _float_power(x: float, n: int) -> float:
+    # LCNumber.__pow__: square-and-multiply, after one inversion if n < 0.
+    if n == 0:
+        return 1.0 if x == x else x  # a nan must still reach the result
+    if n < 0:
+        x, n = _float_inv(x), -n
+    result = 1.0
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def _float_sqrt(x: float) -> float:
+    if x > 0.0:
+        return math.sqrt(x)
+    raise NotPositiveError("nth_root of a value not visibly positive")
+
+
+_FLOAT_FUNCTIONS = {
+    "exp": math.exp,
+    "ln": math.log,  # ValueError at x <= 0, where series.ln raises
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": _float_sqrt,
+    "abs": abs,
+}
+
+
+def _float_apply(name: str, x: float) -> float:
+    return _FLOAT_FUNCTIONS[name](x)
+
+
 def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
-    """Evaluate over LC arguments, delegating to the field/series operations."""
-    return evaluate(e, env, lambda c: c, series.apply_elementary)
+    """Evaluate over LC arguments, delegating to the field/series operations.
+
+    When every argument is an exactly-known real, the walk runs in binary64,
+    with results bit-identical to LC arithmetic.  If that walk raises or
+    ends in a non-finite value, the LC walk runs, and its value or exception
+    is the answer.
+    """
+    point = {}
+    for name, x in env.items():
+        c = x.exact_real() if isinstance(x, LCNumber) else None
+        if c is None:
+            break
+        point[name] = c
+    else:
+        try:
+            value = evaluate(e, point, float, _float_apply, _float_inv, _float_power)
+        except (ArithmeticError, ValueError, LCError, TypeError):
+            pass  # the LC walk decides what is raised
+        else:
+            if math.isfinite(value):
+                return LCNumber.from_real(value)
+    return evaluate(e, env, LCNumber.from_real, series.apply_elementary)
 
 
 def variables(e: Expr) -> set[str]:
-    match e:
-        case Variable(name):
-            return {name}
-        case RationalConst():
-            return set()
-        case Apply(_, arg):
-            return variables(arg)
-        case IntPow(base, _):
-            return variables(base)
-        case _:
-            return variables(e.left) | variables(e.right)
+    """The names of the variables in e; an explicit-stack walk, as evaluate."""
+    names: set[str] = set()
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = type(node)
+        if kind is Variable:
+            names.add(node.name)
+        elif kind is Apply:
+            stack.append(node.arg)
+        elif kind is IntPow:
+            stack.append(node.base)
+        elif kind is Add or kind is Sub or kind is Mul or kind is Div:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is not RationalConst:
+            raise TypeError(f"not an expression node: {node!r}")
+    return names
 
 
 # -- symbolic differentiation (test oracle) ------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levicivita
 from levicivita import default_horizon, set_default_horizon
 from levicivita.cli import main
 
@@ -264,3 +269,15 @@ def test_horizon_flag_does_not_leak(capsys, argv):
     assert before != 5
     run(capsys, *argv)
     assert default_horizon() == before
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(levicivita.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "levicivita", "eval", "1/3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "0.3333333333333333\n"
+    assert done.stderr == ""

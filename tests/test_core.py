@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,12 @@ from levicivita import (
     ZERO,
     approx_equal,
     compare,
+    default_horizon,
+    horizon,
     monomial,
     much_less,
+    parse_lc,
+    set_default_horizon,
     ultrametric,
     valuation,
 )
@@ -302,3 +307,50 @@ def test_approx_equal_tolerates_noise():
 def test_immutability():
     with pytest.raises(AttributeError):
         D.horizon = F(1)
+    for name in ("_den", "_iterms", "_view", "other"):
+        with pytest.raises(AttributeError):
+            setattr(D, name, 0)
+    assert D == lc((F(1), 1.0))
+
+
+# -- default horizon -------------------------------------------------------------
+
+
+def test_horizon_scope_restores():
+    before = default_horizon()
+    with horizon(5):
+        assert parse_lc("1+d").horizon == 5
+    assert default_horizon() == before
+
+
+def test_horizon_scope_rejects_non_positive():
+    with pytest.raises(ValueError):
+        with horizon(0):
+            pass
+
+
+def test_threads_see_their_own_horizon():
+    both_set = threading.Barrier(2)
+    seen = {}
+
+    def work(h):
+        with horizon(h):
+            both_set.wait(timeout=10)  # each thread reads after both have set
+            seen[h] = parse_lc("1+d").horizon
+
+    threads = [threading.Thread(target=work, args=(h,)) for h in (4, 7)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert seen == {4: 4, 7: 7}
+
+
+def test_set_default_horizon_stays_in_its_thread():
+    before = default_horizon()
+    thread = threading.Thread(target=set_default_horizon, args=(3,))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert default_horizon() == before

@@ -107,6 +107,11 @@ def test_variables():
     assert variables(parse_expr("x*y + sin(z) - 2")) == {"x", "y", "z"}
 
 
+def test_variables_of_long_flat_sum():
+    # 3000 operators deep: far past the interpreter's recursion limit
+    assert variables(parse_expr("x" + "+x" * 3000)) == {"x"}
+
+
 # -- LC literal parsing ------------------------------------------------------------
 
 
