@@ -180,11 +180,17 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_wlud_check(args) -> int:
+def _expr_at_point(args) -> tuple:
+    """The parsed expression and its point, one ``--at`` per ``--var``."""
     f = parse_expr(args.expr)
     centers = [parse_lc(a) for a in args.at]
     if len(args.var) != len(centers):
         raise LCError("need exactly one --at per --var")
+    return f, centers
+
+
+def _cmd_wlud_check(args) -> int:
+    f, centers = _expr_at_point(args)
     eps = parse_lc(args.eps)
     delta = parse_lc(args.delta)
     if len(args.var) == 1:
@@ -205,10 +211,7 @@ def _cmd_wlud_check(args) -> int:
 
 
 def _cmd_analyticity(args) -> int:
-    f = parse_expr(args.expr)
-    centers = [parse_lc(a) for a in args.at]
-    if len(args.var) != len(centers):
-        raise LCError("need exactly one --at per --var")
+    f, centers = _expr_at_point(args)
     kwargs = dict(jmax=args.jmax, kmax=args.kmax, plan=_plan(args), window=args.window)
     if len(args.var) == 1:
         cert = analyticity_certificate_1d(f, args.var[0], centers[0], **kwargs)

@@ -201,6 +201,8 @@ class LCNumber:
     def from_real(cls, value: Scalar, horizon: Valuation = INF) -> "LCNumber":
         horizon = _as_horizon(horizon)
         c = float(value)
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c!r} at exponent 0")
         if c == 0.0 or (horizon != INF and horizon <= 0):
             return cls._from_grid(1, (), horizon)
         return cls._from_grid(1, ((0, c),), horizon)

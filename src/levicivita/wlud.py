@@ -15,7 +15,8 @@ replayed with the field operations.
 The analyticity certificates chain these checks: a delta ladder for eps = 1
 at each order, a growth estimate lambda0 for the jet coefficients, a
 computed convergence radius, and a sampled verification of the Taylor
-identity inside that radius (recentred at sampled x != x0 as well).
+identity inside that radius: on the interval around x0 with one variable
+(recentred at sampled x != x0), at the centre itself with several.
 """
 
 from __future__ import annotations
@@ -34,18 +35,12 @@ from .core import (
     Valuation,
     ZERO,
     as_lc,
-    default_horizon,
     format_lc,
     monomial,
 )
 from .expr import Expr, eval_lc
-from .calculus import (
-    PartialJet,
-    partial_jet,
-    partial_taylor_eval,
-    taylor_jet,
-)
-from .series import _taylor_sum, lambda0_estimate, recenter
+from .calculus import PartialJet, partial_jet, partial_taylor_eval
+from .series import PowerSeries, _taylor_sum, _working_horizon, recenter
 
 _NEG_INF = -math.inf
 
@@ -339,20 +334,15 @@ def _delta_ladder_search_nd(f, names, x0, kmax, ladder, plan):
     return out
 
 
-def _ladder_summary(entries, kmax):
-    complete = {k for k, _, _ in entries} >= set(range(1, kmax + 1))
-    if not entries:
-        return complete, None, None
-    max_lam = max(lam for _, _, lam in entries)
-    t = math.floor(max_lam) + 1  # smallest integer strictly above
-    return complete, max_lam, t
-
-
-def _required_radius(lambda0: Valuation, t: int) -> Fraction:
-    required = Fraction(max(t, 0))
-    if lambda0 != _NEG_INF and Fraction(lambda0) > required:
-        required = Fraction(lambda0)
-    return required
+def _resolve_window(jmax: int, kmax: int, window: Optional[int]) -> int:
+    """Check the orders and the growth window; the default is the last half."""
+    if jmax < 1 or kmax < 1:
+        raise ValueError("jmax and kmax must be >= 1")
+    if window is None:
+        return max(1, jmax // 2)
+    if not 1 <= window <= jmax:
+        raise ValueError(f"window must be in 1..{jmax}, got {window}")
+    return window
 
 
 def analyticity_certificate_1d(
@@ -374,63 +364,93 @@ def analyticity_certificate_1d(
     the chosen ball, with x != x0 handled by recentering the jet.
     """
     plan = plan or SamplingPlan()
-    if jmax < 1 or kmax < 1:
-        raise ValueError("jmax and kmax must be >= 1")
+    window = _resolve_window(jmax, kmax, window)
     x0 = as_lc(x0)
-    jet = taylor_jet(f, var, x0, jmax)
-    ps = jet.to_power_series()
-    if window is None:
-        window = max(1, jmax // 2)
-    lam0 = lambda0_estimate(ps, window)
-    lam0_head = lambda0_estimate(ps, jmax)
+    pj = partial_jet(f, [var], (x0,), jmax)
     entries = _delta_ladder_search_nd(f, [var], (x0,), kmax, ladder, plan)
-    complete, _max_lam, t = _ladder_summary(entries, kmax)
-    if not complete:
-        return AnalyticityCertificate(
-            x0, jmax, kmax, window, lam0, lam0_head, tuple(entries),
-            None, None, None, (), "inconclusive",
-        )
-    required = _required_radius(lam0, t)
-    delta = monomial(required + 1)
-    pts = [y for (y,) in plan.points_nd((x0,), delta)]
-    stride = max(1, len(pts) // 4)
-    xs = [x0] + pts[::stride][:4]
+    ps = PowerSeries(x0, tuple(pj.table.values()))  # graded: a_0 .. a_jmax
+
+    def interval_identity(delta):
+        pts = [y for (y,) in plan.points_nd((x0,), delta)]
+        stride = max(1, len(pts) // 4)
+        fvals: dict[int, LCNumber] = {}
+        for x in [x0] + pts[::stride][:4]:
+            series_x = ps if x == x0 else recenter(ps, x, window)
+            for idx, y in enumerate(pts):
+                if y == x:
+                    continue
+                if idx not in fvals:
+                    fvals[idx] = eval_lc(f, {var: y})
+                fy = fvals[idx]
+                inc = y - x
+                cap = _working_horizon(fy)
+                yield x, y, fy, _taylor_sum(series_x.coeffs, inc.truncate(cap)), (inc,)
+
+    return _certify(x0, pj, jmax, kmax, window, entries, interval_identity)
+
+
+def analyticity_certificate_nd(
+    f: Expr,
+    vars: Sequence[str],
+    x0: Sequence,
+    jmax: int,
+    kmax: int,
+    ladder: Optional[Sequence[LCNumber]] = None,
+    plan: Optional[SamplingPlan] = None,
+    window: Optional[int] = None,
+) -> AnalyticityCertificate:
+    """n-variable analogue: growth over all partials, sup-norm ball,
+    identity via the directional Taylor operators at the center."""
+    plan = plan or SamplingPlan()
+    window = _resolve_window(jmax, kmax, window)
+    names = list(vars)
+    center = tuple(as_lc(c) for c in x0)
+    pj = partial_jet(f, names, center, jmax)
+    entries = _delta_ladder_search_nd(f, names, center, kmax, ladder, plan)
+
+    def point_identity(delta):
+        for eta in plan.points_nd(center, delta):
+            feta = eval_lc(f, dict(zip(names, eta)))
+            cap = _working_horizon(feta)
+            v = tuple((e - c).truncate(cap) for e, c in zip(eta, center))
+            yield center, eta, feta, partial_taylor_eval(pj, v, jmax), v
+
+    return _certify(center, pj, jmax, kmax, window, entries, point_identity)
+
+
+def _certify(x0, pj: PartialJet, jmax, kmax, window, entries, identity):
+    """Everything after the ladder, the same at every number of variables.
+
+    ``identity(delta)`` yields ``(x, y, f(y), approx, increment)`` per
+    sampled check, where approx is the Taylor sum at x and increment holds
+    the components of y - x.  Only f(y)'s own horizon is checkable, so the
+    phases truncate the increment there, which also lets sums end early.
+    A visible residual is classified at lambda of the increment's sup norm.
+    """
+    per_order = _per_order_growth(pj, jmax)
+    lam0 = _window_max(per_order, jmax - window + 1, jmax)
+    lam0_head = _window_max(per_order, 1, jmax)
+    t = required = delta = None
     checks = []
-    verdict = "certified_at_scale"
-    growth = _growth_floor(lam0_head)
-    fvals: dict[int, LCNumber] = {}
-    for x in xs:
-        series_x = ps if x == x0 else recenter(ps, x, window)
-        for idx, y in enumerate(pts):
-            if y == x:
-                continue
-            if idx not in fvals:
-                fvals[idx] = eval_lc(f, {var: y})
-            fy = fvals[idx]
-            # Nothing beyond f(y)'s own horizon is checkable; capping the
-            # increment lets the invisible-term stop end the sum early.
-            cap = fy.horizon if fy.horizon != INF else default_horizon()
-            approx = _taylor_sum(series_x.coeffs, (y - x).truncate(cap))
+    verdict = "inconclusive"
+    if {k for k, _, _ in entries} >= set(range(1, kmax + 1)):
+        t = math.floor(max(lam for _, _, lam in entries)) + 1
+        required = max(Fraction(max(t, 0)), lam0)
+        delta = monomial(required + 1)
+        growth = max(Fraction(0), lam0_head)
+        verdict = "certified_at_scale"
+        for x, y, fy, approx, inc in identity(delta):
             resid = _filtered_residual(fy - approx, fy, approx)
             checks.append((x, y, resid.valuation()))
             if resid:
-                verdict = _classify_residual(
-                    resid, (y - x).valuation(), jmax, growth
-                )
+                lam_inc = min(c.valuation() for c in inc)
+                verdict = _classify_residual(resid, lam_inc, jmax, growth)
                 if verdict == "refuted":
                     break
-        if verdict == "refuted":
-            break
     return AnalyticityCertificate(
         x0, jmax, kmax, window, lam0, lam0_head, tuple(entries),
         t, required, delta, tuple(checks), verdict,
     )
-
-
-def _growth_floor(lam0_head) -> Fraction:
-    if lam0_head == _NEG_INF:
-        return Fraction(0)
-    return max(Fraction(lam0_head), Fraction(0))
 
 
 def _classify_residual(resid, lam_inc, jmax: int, growth: Fraction) -> str:
@@ -447,64 +467,12 @@ def _classify_residual(resid, lam_inc, jmax: int, growth: Fraction) -> str:
     return "refuted"
 
 
-def analyticity_certificate_nd(
-    f: Expr,
-    vars: Sequence[str],
-    x0: Sequence,
-    jmax: int,
-    kmax: int,
-    ladder: Optional[Sequence[LCNumber]] = None,
-    plan: Optional[SamplingPlan] = None,
-    window: Optional[int] = None,
-) -> AnalyticityCertificate:
-    """n-variable analogue: growth over all partials, sup-norm ball,
-    identity via the directional Taylor operators at the center."""
-    plan = plan or SamplingPlan()
-    if jmax < 1 or kmax < 1:
-        raise ValueError("jmax and kmax must be >= 1")
-    names = list(vars)
-    center = tuple(as_lc(c) for c in x0)
-    n = len(center)
-    pj = partial_jet(f, names, center, jmax)
-    if window is None:
-        window = max(1, jmax // 2)
-    per_order = _per_order_growth(pj, jmax)
-    lam0 = _window_max(per_order, jmax - window + 1, jmax)
-    lam0_head = _window_max(per_order, 1, jmax)
-    entries = _delta_ladder_search_nd(f, names, center, kmax, ladder, plan)
-    complete, _max_lam, t = _ladder_summary(entries, kmax)
-    if not complete:
-        return AnalyticityCertificate(
-            center, jmax, kmax, window, lam0, lam0_head, tuple(entries),
-            None, None, None, (), "inconclusive",
-        )
-    required = _required_radius(lam0, t)
-    delta = monomial(required + 1)
-    pts = plan.points_nd(center, delta)
-    checks = []
-    verdict = "certified_at_scale"
-    growth = _growth_floor(lam0_head)
-
-    for eta in pts:
-        feta = eval_lc(f, dict(zip(names, eta)))
-        cap = feta.horizon if feta.horizon != INF else default_horizon()
-        v = tuple((eta[i] - center[i]).truncate(cap) for i in range(n))
-        approx = partial_taylor_eval(pj, v, jmax)
-        resid = _filtered_residual(feta - approx, feta, approx)
-        checks.append((center, eta, resid.valuation()))
-        if resid:
-            lam_inc = min(c.valuation() for c in v)
-            verdict = _classify_residual(resid, lam_inc, jmax, growth)
-            if verdict == "refuted":
-                break
-    return AnalyticityCertificate(
-        center, jmax, kmax, window, lam0, lam0_head, tuple(entries),
-        t, required, delta, tuple(checks), verdict,
-    )
-
-
 def _per_order_growth(pj: PartialJet, jmax: int) -> dict[int, Valuation]:
-    """max over |alpha| = j of -lambda(d^alpha f(x0))/j, per order j."""
+    """max over |alpha| = j of -lambda(d^alpha f(x0))/j, per order j.
+
+    At n = 1 a window max over these is ``series.lambda0_estimate`` of the
+    jet's power series.
+    """
     out: dict[int, Valuation] = {j: _NEG_INF for j in range(1, jmax + 1)}
     for alpha, coeff in pj.table.items():
         j = sum(alpha)

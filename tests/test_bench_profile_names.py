@@ -1,0 +1,91 @@
+"""The benchmark's per-layer metrics find library functions by name.
+
+``bench/layers.py`` reads a cProfile table keyed by (module, function name),
+so a rename in the library would silently zero a metric.  These tests read
+that file (without importing it as a module) and check the names against the
+library source.
+"""
+
+import ast
+import fractions
+import runpy
+from pathlib import Path
+
+import pytest
+
+import levicivita
+
+LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+SRC = Path(levicivita.__file__).resolve().parent
+LAYERS = runpy.run_path(str(LAYERS_PY))
+
+
+def _defs(module: str) -> set:
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _string_lookups() -> set:
+    """(layer, name) pairs passed as literals to calls/cumulative/rows."""
+    tree = ast.parse(LAYERS_PY.read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("calls", "cumulative", "rows")
+        ):
+            args = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            out.update((args[0], name) for name in args[1:])
+    return out
+
+
+def _profiled_names() -> list:
+    names = {("wlud", name) for name in LAYERS["CERTIFICATES"]}
+    names |= set(LAYERS["CERTIFICATE_SETUP"])
+    names |= {("series", name) for name in LAYERS["ELEMENTARY_BODIES"]}
+    return sorted(names | _string_lookups())
+
+
+PROFILED = _profiled_names()
+
+
+def test_lookups_cover_the_entry_points():
+    for entry in [("core", "__mul__"), ("core", "__add__"), ("core", "inv"),
+                  ("core", "compare"), ("expr", "eval_lc")]:
+        assert entry in PROFILED
+
+
+@pytest.mark.parametrize("layer, name", PROFILED, ids=[f"{l}.{n}" for l, n in PROFILED])
+def test_profiled_function_is_defined(layer, name):
+    if layer == "fractions":
+        assert name in vars(fractions.Fraction)
+    else:
+        assert name in _defs(layer)
+
+
+def _direct_calls(fn: ast.FunctionDef) -> set:
+    """Names called in fn's own frame: nested functions are not walked."""
+    out = set()
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.add(node.func.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("certificate", LAYERS["CERTIFICATES"])
+def test_certificate_takes_jet_and_ladder_in_its_own_frame(certificate):
+    # layers.py charges these calls to certificate setup only when the
+    # certificate itself is their caller
+    tree = ast.parse((SRC / "wlud.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == certificate]
+    assert {"partial_jet", "_delta_ladder_search_nd"} <= _direct_calls(fn)

@@ -155,6 +155,24 @@ def test_analyticity_nd(capsys):
     assert payload["x0"] == ["0", "0"]
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ["exp(x)", "--var", "x", "--at", "0"],
+        ["exp(x+y)", "--var", "x", "--var", "y", "--at", "0", "--at", "0"],
+    ],
+    ids=["1d", "2d"],
+)
+def test_analyticity_window_outside_1_to_jmax_exit_3(capsys, problem):
+    code, out, err = run(
+        capsys, "analyticity", *problem,
+        "--jmax", "8", "--kmax", "2", "--window", "0",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "levicivita: error: ValueError: window must be in 1..8, got 0\n"
+
+
 def test_usage_error_exit_3(capsys):
     code, _, err = run(capsys, "derive", "x^2", "--var", "x")
     assert code == 3

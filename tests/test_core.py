@@ -23,6 +23,7 @@ from levicivita import (
     ultrametric,
     valuation,
 )
+from levicivita.core import as_lc
 from levicivita.errors import ZeroOperandError
 
 from _corpus import dyadic_invertible_number, field_suite_number
@@ -61,6 +62,17 @@ def test_exponents_stay_exact_rationals():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
         lc((F(0), math.inf))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "make",
+    [LCNumber.from_real, as_lc, lambda x: ONE * x],
+    ids=["from_real", "as_lc", "scalar_mul"],
+)
+def test_real_entry_points_reject_non_finite(make, value):
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        make(value)
 
 
 # -- add / neg -------------------------------------------------------------------

@@ -19,9 +19,11 @@ from levicivita import (
     default_delta_ladder,
     delta_ladder_search,
     eval_lc,
+    lambda0_estimate,
     monomial,
     parse_expr,
     report_to_json,
+    taylor_jet,
     valuation_to_json,
     wlud_check_1d,
     wlud_check_nd,
@@ -277,6 +279,33 @@ def test_certificate_monotone_in_jmax():
         verdicts.append(rank[cert.verdict])
     assert verdicts == sorted(verdicts)
     assert verdicts[-1] == 2
+
+
+@pytest.mark.parametrize("window", [0, -3, 9])
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda f, **kw: analyticity_certificate_1d(f, "x", ZERO, **kw),
+        lambda f, **kw: analyticity_certificate_nd(f, ["x", "y"], [0, 0], **kw),
+    ],
+    ids=["1d", "nd"],
+)
+def test_certificate_rejects_window_outside_1_to_jmax(certify, window):
+    # y is unbound in the 1-D case: the window is checked before any jet
+    with pytest.raises(ValueError, match=f"window must be in 1..8, got {window}"):
+        certify(parse_expr("exp(x+y)"), jmax=8, kmax=1, window=window)
+
+
+@pytest.mark.parametrize("window", [1, 3, 8])
+def test_certificate_1d_growth_is_lambda0_estimate_of_the_jet(window):
+    # at x0 = d the jet of 1/x has a_j = (-1)^j d^-(j+1): every window differs
+    f = parse_expr("1/x + x^3")
+    cert = analyticity_certificate_1d(
+        f, "x", D, jmax=8, kmax=1, ladder=[monomial(2)], window=window, plan=FAST_PLAN
+    )
+    series = taylor_jet(f, "x", D, 8).to_power_series()
+    assert cert.lambda0 == lambda0_estimate(series, window)
+    assert cert.lambda0_head == lambda0_estimate(series, 8)
 
 
 # -- serialization ---------------------------------------------------------------------------
