@@ -81,7 +81,7 @@ def _scaled_derivs(name: str, a0: LCNumber, k: int) -> list[LCNumber]:
         e = series.exp(a0)
         return [e * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name in ("sin", "cos"):
-        s, c = series.sin(a0), series.cos(a0)
+        s, c = series._sin_cos(a0)
         cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
         return [cycle[n % 4] * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name == "ln":

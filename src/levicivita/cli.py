@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,14 @@ _VERDICT_EXIT = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts with one "-" is a value (an LC literal such
+        # as -1/2 or -d, or an expression such as -x+1), not an option.  Set
+        # after the -h option is added, which would otherwise count as
+        # value-like and switch the rule off.
+        self._negative_number_matcher = re.compile(r"^-(?!-)")
+
     def error(self, message):  # usage errors exit 3, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

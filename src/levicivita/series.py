@@ -38,10 +38,6 @@ from .errors import (
     OrderTooHighError,
 )
 
-#: Summation stops after this many consecutive increments invisible at the
-#: running horizon; with exact valuation arithmetic one would suffice.
-INVISIBLE_RUN = 10
-
 _NEG_INF = -math.inf
 
 
@@ -139,18 +135,18 @@ def sum_at(s: PowerSeries, x: LCNumber, window: Optional[int] = None) -> LCNumbe
 def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
     acc = ZERO
     power = ONE
-    invisible = 0
     for j, a in enumerate(coeffs):
         if j:
             power = power * delta
         term = a * power
-        if not term or term.valuation() >= acc.horizon:
-            invisible += 1
-            if invisible >= INVISIBLE_RUN:
-                break
-            continue
-        invisible = 0
-        acc = acc + term
+        if term and term.valuation() < acc.horizon:
+            acc = acc + term
+        elif delta.valuation() >= 0 and power.valuation() + min(
+            (b.valuation() for b in coeffs[j + 1 :]), default=INF
+        ) >= acc.horizon:
+            # With lambda(delta) >= 0 the valuations of the powers only rise
+            # and the horizon of acc only falls, so no later term is visible.
+            break
     return acc
 
 
@@ -198,30 +194,37 @@ def recenter(
 
 # -- elementary functions ----------------------------------------------------
 #
-# Each function splits off the infinitesimal part and sums a classical
-# series in it, which converges in the order topology because term
-# valuations grow linearly.  An exactly-known (infinite-horizon) input with
-# a nonzero infinitesimal part would need endless work, so those series are
-# truncated at the default horizon.
+# Each function splits off the infinitesimal part u and sums a classical
+# series in it.  Every exponent of u is positive, so the valuation of term j
+# is at least j * lambda(u): the valuations rise strictly, and a coefficient
+# of a term below the working horizon depends only on coefficients of the
+# previous term below it.  ``steps`` therefore cuts each term at the working
+# horizon and ends each series exactly at its first empty term; every later
+# term would be empty too, so there is no tuning constant.  An exactly-known
+# (infinite-horizon) input with a nonzero infinitesimal part would need
+# endless work, so those series are cut at the default horizon.
 
 
 def _working_horizon(x: LCNumber) -> Valuation:
     return x.horizon if x.horizon != INF else default_horizon()
 
 
-def _run_series(first: LCNumber, steps, limit: Valuation) -> LCNumber:
-    """Accumulate first + sum(steps) until INVISIBLE_RUN invisible terms."""
-    acc = first
-    invisible = 0
-    for term in steps:
-        if not term or term.valuation() >= limit:
-            invisible += 1
-            if invisible >= INVISIBLE_RUN:
-                break
-            continue
-        invisible = 0
-        acc = acc + term
-    return acc
+def steps(u: LCNumber, ratio, limit: Valuation):
+    """Terms t_j = t_(j-1) * u * ratio(j) for j >= 1, from t_0 = 1.
+
+    A ``None`` ratio yields the powers u^j.  Each term is cut at ``limit``,
+    and the generator returns at the first term that is then empty.
+    """
+    term = ONE
+    j = 1
+    while True:
+        term = (term * u).truncate(limit)
+        if ratio is not None:
+            term = term * ratio(j)
+        if not term:
+            return
+        yield term
+        j += 1
 
 
 def exp(x) -> LCNumber:
@@ -234,17 +237,8 @@ def exp(x) -> LCNumber:
     if not i:
         return LCNumber.from_real(math.exp(r), x.horizon)
     limit = _working_horizon(x)
-    i = i.truncate(limit)
-
-    def steps():
-        term = ONE
-        j = 1
-        while True:
-            term = term * i * (1.0 / j)
-            yield term
-            j += 1
-
-    acc = _run_series(ONE.truncate(limit), steps(), limit)
+    terms = steps(i, lambda j: 1.0 / j, limit)
+    acc = sum(terms, ONE.truncate(limit))
     return acc * math.exp(r) if r != 0.0 else acc
 
 
@@ -260,16 +254,10 @@ def ln(x) -> LCNumber:
     u = LCNumber._make(
         tuple((e, c / a0) for e, c in x.terms[1:] if e < limit), limit
     )
-
-    def steps():
-        power = ONE
-        j = 1
-        while True:
-            power = power * u
-            yield power * ((1.0 if j % 2 else -1.0) / j)
-            j += 1
-
-    return _run_series(LCNumber.from_real(math.log(a0), limit), steps(), limit)
+    acc = LCNumber.from_real(math.log(a0), limit)
+    for j, power in enumerate(steps(u, None, limit), start=1):
+        acc = acc + power * ((1.0 if j % 2 else -1.0) / j)
+    return acc
 
 
 def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
@@ -284,27 +272,15 @@ def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
             LCNumber.from_real(cr, x.horizon),
         )
     limit = _working_horizon(x)
-    i = i.truncate(limit)
     cos_i = ONE.truncate(limit)
     sin_i = ZERO
-    term = ONE
-    k = 1
-    invisible = 0
-    while True:
-        term = term * i * (1.0 / k)
-        if not term or term.valuation() >= limit:
-            invisible += 1
-            if invisible >= INVISIBLE_RUN:
-                break
-            k += 1
-            continue
-        invisible = 0
+    terms = steps(i, lambda k: 1.0 / k, limit)
+    for k, term in enumerate(terms, start=1):
         signed = term if (k // 2) % 2 == 0 else -term
         if k % 2:
             sin_i = sin_i + signed
         else:
             cos_i = cos_i + signed
-        k += 1
     return (cos_i * sr + sin_i * cr, cos_i * cr - sin_i * sr)
 
 
@@ -357,14 +333,6 @@ def nth_root(x, n: int) -> LCNumber:
         tuple((e - q, c / a) for e, c in x.terms[1:] if e - q < limit), limit
     )
     alpha = 1.0 / n
-
-    def steps():
-        term = ONE
-        j = 1
-        while True:
-            term = term * u * ((alpha - (j - 1)) / j)
-            yield term
-            j += 1
-
-    acc = _run_series(ONE.truncate(limit), steps(), limit)
+    terms = steps(u, lambda j: (alpha - (j - 1)) / j, limit)
+    acc = sum(terms, ONE.truncate(limit))
     return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + shift)

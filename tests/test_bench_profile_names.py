@@ -7,7 +7,9 @@ library source.
 """
 
 import ast
+import cProfile
 import fractions
+import pstats
 import runpy
 from pathlib import Path
 
@@ -89,3 +91,26 @@ def test_certificate_takes_jet_and_ladder_in_its_own_frame(certificate):
     tree = ast.parse((SRC / "wlud.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == certificate]
     assert {"partial_jet", "_delta_ladder_search_nd"} <= _direct_calls(fn)
+
+
+def test_every_series_multiplication_is_charged_to_an_elementary_body():
+    # series.muls_per_call counts only the __mul__ calls made from frames
+    # named in ELEMENTARY_BODIES; a multiplication moved into a lambda, a
+    # generator expression or a helper of another name would drop out of it
+    x = levicivita.parse_lc("3/2 + 2d^(1/2) - d^(5/3) + 4d^3")
+    profile = cProfile.Profile()
+    profile.enable()
+    for fn in (levicivita.exp, levicivita.ln, levicivita.sin, levicivita.cos):
+        fn(x)
+    levicivita.nth_root(x, 3)
+    profile.disable()
+    layer_of = LAYERS["layer_of"]
+    callers = {
+        caller[2]
+        for key, row in pstats.Stats(profile).stats.items()
+        if layer_of(key[0]) == "core" and key[2] == "__mul__"
+        for caller in row[4]
+        if layer_of(caller[0]) == "series"
+    }
+    assert "steps" in callers
+    assert callers <= set(LAYERS["ELEMENTARY_BODIES"])

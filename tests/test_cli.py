@@ -299,3 +299,29 @@ def test_python_m_runs_the_cli():
     assert done.returncode == 0
     assert done.stdout == "0.3333333333333333\n"
     assert done.stderr == ""
+
+
+_WLUD = ("wlud-check", "abs(x)", "--var", "x")
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (_WLUD + ("--at", "-1/2", "--k", "1", "--eps", "1", "--delta", "d"),
+     _WLUD + ("--at=-1/2", "--k", "1", "--eps", "1", "--delta", "d")),
+    (("derive", "x^3", "--var", "x", "--at", "-d", "--order", "1"),
+     ("derive", "x^3", "--var", "x", "--at=-d", "--order", "1")),
+    (("eval", "-x+1", "--at", "x=1"),
+     ("eval", "--at", "x=1", "--", "-x+1")),
+], ids=["wlud-check --at -1/2", "derive --at -d", "eval -x+1"])
+def test_value_beginning_with_minus_is_not_an_option(capsys, argv, spelled):
+    code, out, _ = run(capsys, *spelled)
+    assert code == 0 and out
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+def test_option_names_still_parse_as_options(capsys):
+    code, _, err = run(capsys, "derive", "x", "--var", "x", "--at", "--order", "1")
+    assert code == 3
+    assert "argument --at: expected one argument" in err
+    code, out, _ = run(capsys, "eval", "-h")
+    assert code == 0
+    assert out.startswith("usage: levicivita eval")

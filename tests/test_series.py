@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levicivita import (
     D,
@@ -14,8 +16,10 @@ from levicivita import (
     approx_equal,
     converges_at,
     cos,
+    default_horizon,
     differentiate_termwise,
     exp,
+    horizon,
     lambda0_estimate,
     ln,
     monomial,
@@ -28,6 +32,7 @@ from levicivita import (
     taylor_jet,
     diff_symbolic,
 )
+from levicivita.series import _taylor_sum
 from levicivita.errors import (
     DomainError,
     EmptySeriesError,
@@ -329,3 +334,160 @@ def test_elementary_respects_finite_horizon():
 def test_series_printing_round_trips_header():
     s = series_of(real(1), real(2))
     assert "(x-(0))" in str(s)
+
+
+# -- every series ends at its first empty term --------------------------------------
+#
+# The reference sums a fixed ceil(limit / lambda(u)) + 2 terms, enough to reach
+# past the working horizon, with no cut of the terms and no stop rule.  Each
+# product is taken in the same order as the library's, so the sums must agree
+# bit for bit.
+
+
+def _limit(x):
+    return x.horizon if x.horizon != math.inf else default_horizon()
+
+
+def _count(u, limit):
+    return math.ceil(limit / u.valuation()) + 2 if u else 0
+
+
+def _ref_terms(u, ratio, count):
+    term, out = ONE, []
+    for j in range(1, count + 1):
+        term = term * u * ratio(j)
+        out.append(term)
+    return out
+
+
+def _ref_exp(x):
+    r, limit = x.real_part(), _limit(x)
+    i = x.infinitesimal_part().truncate(limit)
+    acc = ONE.truncate(limit)
+    for term in _ref_terms(i, lambda j: 1.0 / j, _count(i, limit)):
+        acc = acc + term
+    return acc * math.exp(r) if r != 0.0 else acc
+
+
+def _ref_ln(x):
+    a0, limit = x.terms[0][1], _limit(x)
+    u = LCNumber([(e, c / a0) for e, c in x.terms[1:]], limit)
+    acc = LCNumber.from_real(math.log(a0), limit)
+    power = ONE
+    for j in range(1, _count(u, limit) + 1):
+        power = power * u
+        acc = acc + power * ((1.0 if j % 2 else -1.0) / j)
+    return acc
+
+
+def _ref_sin_cos(x):
+    r, limit = x.real_part(), _limit(x)
+    i = x.infinitesimal_part().truncate(limit)
+    sin_i, cos_i = ZERO, ONE.truncate(limit)
+    for k, term in enumerate(_ref_terms(i, lambda j: 1.0 / j, _count(i, limit)), 1):
+        signed = term if (k // 2) % 2 == 0 else -term
+        if k % 2:
+            sin_i = sin_i + signed
+        else:
+            cos_i = cos_i + signed
+    sr, cr = math.sin(r), math.cos(r)
+    return cos_i * sr + sin_i * cr, cos_i * cr - sin_i * sr
+
+
+def _ref_nth_root(x, n):
+    (q, a), limit = x.terms[0], _limit(x) - x.terms[0][0]
+    u = LCNumber([(e - q, c / a) for e, c in x.terms[1:]], limit)
+    alpha = 1.0 / n
+    acc = ONE.truncate(limit)
+    for term in _ref_terms(u, lambda j: (alpha - (j - 1)) / j, _count(u, limit)):
+        acc = acc + term
+    lead = math.sqrt(a) if n == 2 else a ** (1.0 / n)
+    return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + q / n)
+
+
+_exponents = st.builds(F, st.integers(1, 10), st.integers(1, 6))
+_coefficients = st.floats(-2, 2).filter(bool)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(0.25, 3),
+    st.lists(st.tuples(_exponents, _coefficients), min_size=1, max_size=4),
+    st.one_of(st.just(math.inf), st.builds(F, st.integers(1, 24), st.integers(1, 3))),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+)
+def test_elementary_series_equal_an_unstopped_reference(lead, tail, h, q):
+    with horizon(6):
+        x = LCNumber([(0, lead)] + tail, h)
+        if len(x.terms) < 2:
+            return  # a lone real takes the closed-form path
+        i = x.infinitesimal_part()
+        for arg in (x, i, -x):
+            assert exp(arg) == _ref_exp(arg)
+            assert (sin(arg), cos(arg)) == _ref_sin_cos(arg)
+        assert ln(x) == _ref_ln(x)
+        shifted = LCNumber([(e + q, c) for e, c in x.terms], h + q)
+        for n in (2, 3):
+            assert nth_root(x, n) == _ref_nth_root(x, n)
+            assert nth_root(shifted, n) == _ref_nth_root(shifted, n)
+
+
+def _ref_taylor_sum(coeffs, delta):
+    acc, power = ZERO, ONE
+    for j, a in enumerate(coeffs):
+        if j:
+            power = power * delta
+        term = a * power
+        if term and term.valuation() < acc.horizon:
+            acc = acc + term
+    return acc
+
+
+_terms = st.lists(
+    st.tuples(st.builds(F, st.integers(-12, 18), st.sampled_from([1, 2, 3, 6])),
+              _coefficients),
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(_terms, min_size=1, max_size=16),
+    _terms,
+    st.one_of(st.just(math.inf), st.builds(F, st.integers(4, 40), st.integers(1, 3))),
+)
+def test_taylor_sum_equals_a_sum_of_every_term(coeffs, delta, h):
+    # the sum ends early only where no later term can be visible; a delta of
+    # negative valuation has falling valuations and sums every term
+    coeffs = [LCNumber(t, h) for t in coeffs]
+    delta = LCNumber(delta, h)
+    assert _taylor_sum(coeffs, delta) == _ref_taylor_sum(coeffs, delta)
+
+
+def test_taylor_sum_with_falling_valuations_sums_past_an_invisible_term():
+    # lambda(delta) < 0: the powers' valuations fall, so the invisible d^4
+    # of j = 1 does not end the sum before the visible d^3 of j = 2
+    coeffs = [LCNumber([(0, 1.0)], 4), monomial(5), monomial(5)]
+    assert _taylor_sum(coeffs, monomial(-1)) == LCNumber([(0, 1.0), (3, 1.0)], 4)
+
+
+def test_elementary_multiplication_counts(monkeypatch):
+    # exp/ln/sin/sqrt of 1 + d at horizon 32 return 32 terms, and each
+    # series stops at its first empty term
+    calls = 0
+    mul = LCNumber.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    with horizon(32):
+        x = parse_lc("1+d")
+        monkeypatch.setattr(LCNumber, "__mul__", counting)
+        for fn, most in [
+            (exp, 65), (ln, 63), (sin, 68), (lambda v: nth_root(v, 2), 64)
+        ]:
+            calls = 0
+            fn(x)
+            assert calls <= most
