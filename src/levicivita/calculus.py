@@ -138,6 +138,7 @@ class _Layout(NamedTuple):
     indices: tuple[tuple[int, ...], ...]
     mul: tuple  # mul[p] = ((q, r), ...): indices[p] + indices[q] = indices[r]
     inv: tuple  # inv[r] = ((p, q), ...): the same with p != 0, in p order
+    parent: tuple  # parent[p] = (q, i), p != 0: indices[q] + e_i = indices[p]
 
 
 @functools.cache
@@ -161,7 +162,11 @@ def _layout(n: int, k: int) -> _Layout:
         )
         for g in indices
     )
-    return _Layout(n, k, indices, mul, inv)
+    parent = [None]
+    for alpha in indices[1:]:
+        i = next(i for i, a in enumerate(alpha) if a)  # first nonzero exponent
+        parent.append((pos[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]], i))
+    return _Layout(n, k, indices, mul, inv, tuple(parent))
 
 
 class _Jet:
@@ -369,6 +374,56 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     if k > pj.order:
         raise OrderTooHighError(f"order {k} exceeds jet order {pj.order}")
     return _horner(pj.table, _horner_plan(pj.n, k), _direction(pj, v))
+
+
+def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[LCNumber]:
+    """``partial_taylor_eval(pj, v, k)`` for each of the ascending orders ks.
+
+    The lowest order is nested Horner, so it is exactly that call.  Each
+    higher order adds the homogeneous parts H_j = sum(table[alpha] * v^alpha,
+    |alpha| = j) above the one before it (degree-graded Taylor propagation),
+    with each monomial v^alpha one multiplication from its parent's.  Parts
+    past the last degree with a coefficient other than an exact zero are
+    zero and not formed.
+    """
+    top = ks[-1]
+    if top > pj.order:
+        raise OrderTooHighError(f"order {top} exceeds jet order {pj.order}")
+    vec = _direction(pj, v)
+    total = _horner(pj.table, _horner_plan(pj.n, ks[0]), vec)
+    sums = [total]
+    if len(ks) == 1:
+        return sums
+    layout = _layout(pj.n, pj.order)
+    # the graded indices of degree <= d are the first comb(n + d, d); only
+    # exact zeros are skipped, as a visible zero still bounds the horizon
+    end = math.comb(pj.n + top, top)
+    coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
+    while end > 1 and not coeffs[end - 1] and coeffs[end - 1].horizon == INF:
+        end -= 1
+    last = sum(layout.indices[end - 1])
+    degree = ks[0]
+    start = math.comb(pj.n + degree, degree)
+    if end <= start:
+        return sums * len(ks)
+    mono = [ONE] * end
+    for p in range(1, end):
+        q, i = layout.parent[p]
+        mono[p] = vec[i] if q == 0 else mono[q] * vec[i]
+    for k in ks[1:]:
+        while degree < min(k, last):
+            degree += 1
+            stop = min(end, math.comb(pj.n + degree, degree))
+            part = None
+            for p in range(start, stop):
+                if coeffs[p] or coeffs[p].horizon != INF:
+                    term = coeffs[p] * mono[p]
+                    part = term if part is None else part + term
+            if part is not None:
+                total = total + part
+            start = stop
+        sums.append(total)
+    return sums
 
 
 def taylor_polynomial_eval(jet: TaylorJet, y, k: int) -> LCNumber:

@@ -396,13 +396,18 @@ class LCNumber:
         if other is None:
             return NotImplemented
         a, b = self._iterms, other._iterms
+        ha, hb = self.horizon, other.horizon
         if not a or not b:
-            # A factor with no visible terms annihilates the product.
-            return ZERO
+            # A factor with no visible terms is zero only below its horizon,
+            # so its valuation is at least that horizon: the product is a
+            # visible zero up to h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)).
+            la = ha if not a else self.valuation()
+            lb = hb if not b else other.valuation()
+            horizon = min(ha + lb, hb + la)
+            return ZERO if horizon == INF else LCNumber._from_grid(1, (), horizon)
         da, db = self._den, other._den
         # h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)), on the grid;
         # an infinite horizon contributes nothing to the min.
-        ha, hb = self.horizon, other.horizon
         if type(ha) is float:
             horizon = ha if type(hb) is float else _shifted(hb, a[0][0], da)
         elif type(hb) is float:

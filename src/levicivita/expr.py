@@ -310,39 +310,57 @@ def _parse_atom(sc: _Scanner) -> Expr:
 
 
 def print_expr(e: Expr) -> str:
-    """Render with minimal parentheses; parse_expr(print_expr(e)) == e."""
-    return _print(e, 0)
+    """Render with minimal parentheses; parse_expr(print_expr(e)) == e.
+
+    An explicit-stack walk, as ``variables``: each operator node is visited
+    once to schedule its operands (left last, so it renders first) and once
+    more to join their renderings, parenthesised where its context binds
+    tighter.
+    """
+    rendered: list[str] = []
+    stack = [(e, 0, False)]
+    while stack:
+        node, context, joining = stack.pop()
+        kind = type(node)
+        if kind is RationalConst:
+            rendered.append(_print_const(node.value, context))
+        elif kind is Variable:
+            rendered.append(node.name)
+        elif kind not in _PREC and kind is not Apply:
+            raise TypeError(f"not an expression node: {node!r}")
+        elif not joining:
+            stack.append((node, context, True))
+            if kind is Apply:
+                stack.append((node.arg, 0, False))
+            elif kind is IntPow:
+                stack.append((node.base, 5, False))
+            else:
+                prec = _PREC[kind]
+                stack.append((node.right, prec + 1, False))  # left-associative
+                stack.append((node.left, prec, False))
+        elif kind is Apply:
+            rendered.append(f"{node.func}({rendered.pop()})")
+        else:
+            if kind is IntPow:
+                body = f"{rendered.pop()}^{node.exponent}"
+            else:
+                right = rendered.pop()
+                body = f"{rendered.pop()} {_OP[kind]} {right}"
+            rendered.append(f"({body})" if context > _PREC[kind] else body)
+    return rendered[0]
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, IntPow: 4}
+_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _print(e: Expr, context: int) -> str:
-    if isinstance(e, RationalConst):
-        v = e.value
-        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        if v < 0 or v.denominator != 1:
-            # Negative or fractional constants reparse atomically only in
-            # parentheses ("1/2" would scan as a division).
-            return f"({s})" if context > 0 else s
-        return s
-    if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Apply):
-        return f"{e.func}({_print(e.arg, 0)})"
-    if isinstance(e, IntPow):
-        body = f"{_print(e.base, 5)}^{e.exponent}"
-        return f"({body})" if context > 4 else body
-    op, prec = {
-        Add: ("+", 1),
-        Sub: ("-", 1),
-        Mul: ("*", 2),
-        Div: ("/", 2),
-    }[type(e)]
-    left = _print(e.left, prec)
-    right = _print(e.right, prec + 1)  # left-associative
-    body = f"{left} {op} {right}"
-    return f"({body})" if context > prec else body
+def _print_const(v: Fraction, context: int) -> str:
+    s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if v < 0 or v.denominator != 1:
+        # Negative or fractional constants reparse atomically only in
+        # parentheses ("1/2" would scan as a division).
+        return f"({s})" if context > 0 else s
+    return s
 
 
 # -- LC literal parser ---------------------------------------------------------

@@ -39,7 +39,7 @@ from .core import (
     monomial,
 )
 from .expr import Expr, eval_lc
-from .calculus import PartialJet, partial_jet, partial_taylor_eval
+from .calculus import PartialJet, partial_jet, partial_taylor_eval, partial_taylor_sums
 from .series import PowerSeries, _taylor_sum, _working_horizon, recenter
 
 _NEG_INF = -math.inf
@@ -253,49 +253,71 @@ def wlud_check_nd(
     center = tuple(as_lc(c) for c in x0)
     eps = _require_positive(as_lc(eps), "eps")
     delta = _require_positive(as_lc(delta), "delta")
+    (report,) = _run_check(f, names, center, [k], k, eps, delta, plan)
+    return report
+
+
+@dataclass(slots=True)
+class _Tally:
+    """The evidence one order has gathered so far in a pair walk."""
+
+    k: int
+    samples: int = 0
+    inconclusive: int = 0
+    margin: Optional[Valuation] = None
+    pair: Optional[tuple] = None
+    failed: bool = False
+
+
+def _run_check(f, names, center, ks, jet_order, eps, delta, plan) -> list[WludReport]:
+    """The order-k checks for every k in the ascending ks, in one pair walk.
+
+    Every pair takes one jet at xi (of jet_order >= max(ks), once per point),
+    one f(eta) and one approximant per order still undecided.  An order
+    leaves the walk at its first violating pair, and the walk ends when no
+    order is left.  Returns one report per order, in the order of ks.
+    """
     pts = plan.points_nd(center, delta)
-    return _run_check(f, names, center, k, eps, delta, plan, pts, {}, {}, k)
-
-
-def _run_check(f, names, center, k, eps, delta, plan, pts, jets, fvals, jet_order):
-    # jets/fvals may be shared by callers running several orders over the
-    # same sample set; jets are taken at jet_order >= k.
-    pairs = plan.pair_indices(len(pts))
-    worst_margin: Optional[Valuation] = None
-    worst_pair = None
-    inconclusive = 0
-    samples = 0
-    result = "pass"
-    for i, j in pairs:
+    tallies = [_Tally(k) for k in ks]
+    live, orders = tallies, list(ks)
+    jets: dict[int, PartialJet] = {}
+    fvals: dict[int, LCNumber] = {}
+    for i, j in plan.pair_indices(len(pts)):
         xi, eta = pts[i], pts[j]
         if i not in jets:
             jets[i] = partial_jet(f, names, xi, jet_order)
         if j not in fvals:
             fvals[j] = eval_lc(f, dict(zip(names, eta)))
-        v = tuple(eta[m] - xi[m] for m in range(len(center)))
-        approx = partial_taylor_eval(jets[i], v, k)
         feta = fvals[j]
-        lhs = abs(_filtered_residual(feta - approx, feta, approx))
-        rhs = eps * _sup_norm(v) ** k
-        samples += 1
-        order = lhs.compare(rhs)
-        margin = _margin(lhs, rhs)
-        if worst_margin is None or margin > worst_margin:
-            worst_margin = margin
-            worst_pair = (xi, eta, lhs, rhs)
-        if order is Ordering.EQUAL_AT_HORIZON:
-            inconclusive += 1
-            continue
-        if order is Ordering.GREATER:
-            result = "fail"
-            worst_margin = margin
-            worst_pair = (xi, eta, lhs, rhs)
-            break
-    if result == "pass" and inconclusive == samples:
-        result = "inconclusive"
-    return WludReport(
-        center, k, eps, delta, samples, result, worst_pair, worst_margin, inconclusive
-    )
+        v = tuple(eta[m] - xi[m] for m in range(len(center)))
+        norm = _sup_norm(v)
+        dropped = False
+        for t, approx in zip(live, partial_taylor_sums(jets[i], v, orders)):
+            lhs = abs(_filtered_residual(feta - approx, feta, approx))
+            rhs = eps * norm ** t.k
+            t.samples += 1
+            order = lhs.compare(rhs)
+            margin = _margin(lhs, rhs)
+            if t.margin is None or margin > t.margin or order is Ordering.GREATER:
+                t.margin = margin
+                t.pair = (xi, eta, lhs, rhs)
+            if order is Ordering.EQUAL_AT_HORIZON:
+                t.inconclusive += 1
+            elif order is Ordering.GREATER:
+                t.failed = dropped = True
+        if dropped:
+            live = [t for t in live if not t.failed]
+            if not live:
+                break
+            orders = [t.k for t in live]
+    return [
+        WludReport(
+            center, t.k, eps, delta, t.samples,
+            "fail" if t.failed else "inconclusive" if t.inconclusive == t.samples else "pass",
+            t.pair, t.margin, t.inconclusive,
+        )
+        for t in tallies
+    ]
 
 
 def delta_ladder_search(
@@ -315,23 +337,21 @@ def delta_ladder_search(
 
 
 def _delta_ladder_search_nd(f, names, x0, kmax, ladder, plan):
+    # One sweep per candidate decides every order no earlier candidate
+    # passed; jets are taken at kmax for all of them.
     ladder = list(ladder) if ladder is not None else default_delta_ladder()
     plan = plan or SamplingPlan()
-    caches: dict[int, tuple] = {}  # per candidate: (pts, jets, fvals)
-    out = []
-    for k in range(1, kmax + 1):
-        for ci, candidate in enumerate(ladder):
-            _require_positive(candidate, "ladder candidate")
-            if ci not in caches:
-                caches[ci] = (plan.points_nd(x0, candidate), {}, {})
-            pts, jets, fvals = caches[ci]
-            report = _run_check(
-                f, names, x0, k, ONE, candidate, plan, pts, jets, fvals, kmax
-            )
+    pending = list(range(1, kmax + 1))
+    passed_at: dict[int, LCNumber] = {}
+    for candidate in ladder:
+        if not pending:
+            break
+        _require_positive(candidate, "ladder candidate")
+        for report in _run_check(f, names, x0, pending, kmax, ONE, candidate, plan):
             if report.result == "pass":
-                out.append((k, candidate, candidate.valuation()))
-                break
-    return out
+                passed_at[report.k] = candidate
+        pending = [k for k in pending if k not in passed_at]
+    return [(k, d, d.valuation()) for k, d in sorted(passed_at.items())]
 
 
 def _resolve_window(jmax: int, kmax: int, window: Optional[int]) -> int:

@@ -84,13 +84,26 @@ def _direct_calls(fn: ast.FunctionDef) -> set:
     return out
 
 
+def _wlud_function(name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / "wlud.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
 @pytest.mark.parametrize("certificate", LAYERS["CERTIFICATES"])
 def test_certificate_takes_jet_and_ladder_in_its_own_frame(certificate):
     # layers.py charges these calls to certificate setup only when the
     # certificate itself is their caller
-    tree = ast.parse((SRC / "wlud.py").read_text())
-    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == certificate]
-    assert {"partial_jet", "_delta_ladder_search_nd"} <= _direct_calls(fn)
+    assert {"partial_jet", "_delta_ladder_search_nd"} <= _direct_calls(_wlud_function(certificate))
+
+
+def test_ladder_runs_the_check_loop_in_its_own_frame():
+    # wlud.ladder_s is the cumulative time of _delta_ladder_search_nd, so
+    # the ladder runs its pair walks through the one check loop itself, not
+    # through another entry point
+    calls = _direct_calls(_wlud_function("_delta_ladder_search_nd"))
+    assert "_run_check" in calls
+    assert not calls & {"_delta_ladder_search_nd", "wlud_check_nd"}
 
 
 def test_every_series_multiplication_is_charged_to_an_elementary_body():

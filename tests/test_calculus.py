@@ -31,7 +31,7 @@ from levicivita import (
     taylor_polynomial_eval,
 )
 from levicivita import calculus
-from levicivita.calculus import partial_taylor_eval
+from levicivita.calculus import partial_taylor_eval, partial_taylor_sums
 from levicivita.errors import (
     DomainError,
     InfiniteLimitError,
@@ -358,6 +358,84 @@ def test_taylor_identity_trivariate_polynomial():
         for j in range(1, 6):
             via_ops = via_ops + directional_power(pj, eta, j) * (1.0 / math.factorial(j))
         assert approx_equal(total, via_ops, rel_tol=1e-12)
+
+
+# -- Taylor sums of several orders at once -------------------------------------------
+
+SUMS_POLYNOMIALS = {
+    1: ("x", "3/4*x^5 - 1/2*x^3 + 5/8*x^2 - x + 3"),
+    2: ("x y", "x^3*y - 3/8*y^4 + 1/4*x*y^2 - 2*x + y - 1/2"),
+    3: ("x y z", "x^3*y - 1/2*z^2 + x*y*z + 3/4*y^2*z^2 - 5*x + 1"),
+}
+SUMS_ANALYTIC = {
+    1: ("x", "exp(x)*sin(x)"),
+    2: ("x y", "exp(x-y)*sin(x+2*y)"),
+    3: ("x y z", "sin(x)*exp(y)*cos(z) + exp(x*z)"),
+}
+
+
+def _sums_case(text, names, seed):
+    rng = random.Random(seed)
+    center = [parse_lc(f"{rng.randint(-4, 4)}/8 + d") for _ in names]
+    v = [parse_lc(f"{rng.randint(1, 8)}/16 - {rng.randint(1, 8)}/4 d^(1/2)") for _ in names]
+    return partial_jet(parse_expr(text), names, center, 6), v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_taylor_sums_lowest_order_is_horner(n):
+    names, text = SUMS_ANALYTIC[n]
+    pj, v = _sums_case(text, names.split(), n)
+    for ks in ([1, 4, 6], [3, 5], [6]):
+        assert partial_taylor_sums(pj, v, ks)[0] == partial_taylor_eval(pj, v, ks[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_taylor_sums_exact_on_dyadic_polynomials(n):
+    # dyadic data at dyadic points: every order is exact, so the graded
+    # sums equal nested Horner term for term
+    names, text = SUMS_POLYNOMIALS[n]
+    for seed in range(4):
+        pj, v = _sums_case(text, names.split(), seed)
+        ks = list(range(7))
+        assert partial_taylor_sums(pj, v, ks) == [partial_taylor_eval(pj, v, k) for k in ks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_taylor_sums_agree_with_horner_on_analytic_jets(n):
+    names, text = SUMS_ANALYTIC[n]
+    for seed in range(3):
+        pj, v = _sums_case(text, names.split(), seed)
+        ks = list(range(1, 7))
+        for k, total in zip(ks, partial_taylor_sums(pj, v, ks)):
+            ref = partial_taylor_eval(pj, v, k)
+            tol = 1e-13 * ref.max_abs_coefficient()
+            assert (total - ref).without_small(tol).is_zero, (k, total, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_taylor_sums_stop_at_the_last_nonzero_degree(n):
+    # the degree-2 polynomial has an order-6 jet whose parts above 2 are zero
+    names = ["x", "y", "z"][:n]
+    text = " + ".join(f"{i + 1}/2*{x}^2 - {x}" for i, x in enumerate(names))
+    pj, v = _sums_case(text, names, n)
+    quadratic = partial_taylor_eval(pj, v, 2)
+    assert partial_taylor_sums(pj, v, [1, 2, 4, 6])[1:] == [quadratic] * 3
+    assert partial_taylor_sums(pj, v, [3, 5]) == [partial_taylor_eval(pj, v, 3)] * 2
+
+
+def test_partial_taylor_sums_keep_the_horizon_of_a_visible_zero():
+    # a coefficient known to be zero only below exponent 3 still bounds the
+    # horizon of every sum that includes it, as it does in Horner
+    pj = calculus.PartialJet((ZERO,), 2, {(0,): ONE, (1,): ONE, (2,): LCNumber([], 3)})
+    sums = partial_taylor_sums(pj, (D,), [1, 2])
+    assert sums == [partial_taylor_eval(pj, (D,), k) for k in (1, 2)]
+    assert sums[1].horizon == 5
+
+
+def test_partial_taylor_sums_order_too_high():
+    pj = partial_jet(parse_expr("x+y"), ["x", "y"], [0, 0], 1)
+    with pytest.raises(OrderTooHighError):
+        partial_taylor_sums(pj, (ONE, ONE), [1, 2])
 
 
 # -- L'Hopital -----------------------------------------------------------------------

@@ -103,6 +103,20 @@ def test_print_parse_round_trip():
         assert parse_expr(print_expr(e)) == e
 
 
+def test_print_long_flat_sum():
+    # 3000 operators deep; the strings are compared because == on the nodes
+    # recurses as well
+    assert print_expr(parse_expr("x" + "+x" * 3000)) == "x" + " + x" * 3000
+
+
+def test_print_deep_right_nested_difference():
+    # deeper than parse_expr's nesting limit, so built node by node
+    e = X
+    for _ in range(3000):
+        e = Sub(X, e)
+    assert print_expr(e) == "x - (" * 2999 + "x - x" + ")" * 2999
+
+
 def test_variables():
     assert variables(parse_expr("x*y + sin(z) - 2")) == {"x", "y", "z"}
 

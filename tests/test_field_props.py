@@ -5,6 +5,12 @@ Numbers have at most four terms, exponents in [-3, 6] with denominators up
 to 4 and dyadic coefficients k/64 with 0 < |k| <= 128.  Every sum and every
 product of up to three such numbers is then exact in binary64, so the laws
 hold structurally (same terms, same horizon) and ``==`` checks them.
+
+The laws are also checked on coefficients that round (k/q * 10^s with q
+not a power of two).  There the two sides agree up to binary64 rounding:
+per exponent below the common horizon, within ROUNDING_REL_TOL of the
+largest coefficient that either side could form.  Addition still commutes
+exactly.
 """
 
 from fractions import Fraction
@@ -66,6 +72,58 @@ def test_addition_associates(x, y, z):
 @given(numbers(), numbers(), numbers())
 def test_multiplication_associates(x, y, z):
     assert (x * y) * z == x * (y * z)
+
+
+ROUNDING_REL_TOL = 1e-12
+
+rounding_coefficients = st.builds(
+    lambda k, q, s: k / q * 10.0**s,
+    st.integers(-1000, 1000).filter(bool),
+    st.sampled_from((3, 5, 7, 10)),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def rounding_numbers(draw):
+    terms = draw(st.lists(st.tuples(exponents, rounding_coefficients), max_size=4))
+    return LCNumber(terms, draw(horizons))
+
+
+def assert_close(a, b, scale):
+    h = min(a.horizon, b.horizon)
+    for e in {e for e, _ in a.terms + b.terms if e < h}:
+        assert abs(a.coefficient(e) - b.coefficient(e)) <= ROUNDING_REL_TOL * scale, e
+
+
+def largest(*xs):
+    return max(x.max_abs_coefficient() for x in xs)
+
+
+@props
+@given(rounding_numbers(), rounding_numbers())
+def test_addition_commutes_exactly_on_rounding_coefficients(x, y):
+    assert x + y == y + x
+
+
+@props
+@given(rounding_numbers(), rounding_numbers(), rounding_numbers())
+def test_addition_associates_up_to_rounding(x, y, z):
+    assert_close((x + y) + z, x + (y + z), largest(x, y, z))
+
+
+@props
+@given(rounding_numbers(), rounding_numbers(), rounding_numbers())
+def test_multiplication_associates_up_to_rounding(x, y, z):
+    scale = largest(x) * largest(y) * largest(z)
+    assert_close((x * y) * z, x * (y * z), scale)
+
+
+@props
+@given(rounding_numbers(), rounding_numbers(), rounding_numbers())
+def test_multiplication_distributes_up_to_rounding(x, y, z):
+    scale = largest(x) * largest(y, z)
+    assert_close(x * (y + z), x * y + x * z, scale)
 
 
 _MIRROR = {

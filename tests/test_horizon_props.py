@@ -73,10 +73,10 @@ def test_ceil_bound_of_inf():
 def test_product_horizon_and_terms(pair, swap):
     x, y = pair[::-1] if swap else pair
     p = x * y
-    if x and y:
-        want = min(x.horizon + y.valuation(), y.horizon + x.valuation())
-    else:
-        want = INF  # a factor with no visible terms annihilates the product
+    # a factor with no visible terms has valuation at least its horizon
+    lam_x = x.valuation() if x else x.horizon
+    lam_y = y.valuation() if y else y.horizon
+    want = min(x.horizon + lam_y, y.horizon + lam_x)
     assert p.horizon == want
     assert type(p.horizon) is (float if want == INF else Fraction)
     products = [(ex + ey, cx * cy) for ex, cx in x.terms for ey, cy in y.terms]

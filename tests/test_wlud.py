@@ -19,15 +19,19 @@ from levicivita import (
     default_delta_ladder,
     delta_ladder_search,
     eval_lc,
+    format_lc,
     lambda0_estimate,
     monomial,
     parse_expr,
+    parse_lc,
     report_to_json,
     taylor_jet,
     valuation_to_json,
     wlud_check_1d,
     wlud_check_nd,
 )
+from levicivita import wlud
+from levicivita.wlud import _delta_ladder_search_nd, _run_check
 
 F = Fraction
 
@@ -192,6 +196,70 @@ def test_ladder_exp_passes_at_d():
     )
     assert [k for k, _, _ in entries] == [1, 2, 3]
     assert all(delta == D for _, delta, _ in entries)
+
+
+@pytest.mark.parametrize(
+    "text, x0, kmax, radii",
+    [
+        ("1/x", ("d^(1/2)",), 5, ["d", "d^(3/2)", "d^2", "d^(5/2)", "d^3"]),
+        ("sqrt(x)", ("d^(1/2)",), 5, ["1", "d^(1/2)", "d", "d^(3/2)", "d^2"]),
+        ("1/(x+y)", ("d^(1/2)", "d"), 3, ["d", "d^(3/2)", "d^2"]),
+    ],
+)
+def test_ladder_radius_shrinks_with_the_order(text, x0, kmax, radii):
+    # every candidate's sweep passes some orders and leaves the rest to the
+    # next candidate
+    names = ["x", "y"][: len(x0)]
+    center = tuple(parse_lc(c) for c in x0)
+    entries = _delta_ladder_search_nd(parse_expr(text), names, center, kmax, None, FAST_PLAN)
+    assert [(k, format_lc(delta)) for k, delta, _ in entries] == list(enumerate(radii, 1))
+    assert all(lam == delta.valuation() for _, delta, lam in entries)
+
+
+@pytest.mark.parametrize("text, names", [("abs(x)", ["x"]), ("abs(x)+y", ["x", "y"])])
+def test_ladder_of_abs_is_empty_after_every_candidate(monkeypatch, text, names):
+    reached = []
+    require_positive = wlud._require_positive
+
+    def spy(value, name):
+        reached.append(value)
+        return require_positive(value, name)
+
+    monkeypatch.setattr(wlud, "_require_positive", spy)
+    center = (ZERO,) * len(names)
+    assert _delta_ladder_search_nd(parse_expr(text), names, center, 3, None, FAST_PLAN) == []
+    assert reached == default_delta_ladder()
+
+
+@pytest.mark.parametrize("bad", [ZERO, monomial(1, -1.0)])
+def test_ladder_rejects_a_non_positive_candidate_only_when_reached(bad):
+    with pytest.raises(ValueError, match="ladder candidate"):
+        delta_ladder_search(parse_expr("abs(x)"), "x", ZERO, 2, ladder=[ONE, bad], plan=FAST_PLAN)
+    # every order passes at 1, so the sweep never reaches the bad candidate
+    entries = delta_ladder_search(
+        parse_expr("exp(x)"), "x", ZERO, 3, ladder=[ONE, D, bad], plan=FAST_PLAN
+    )
+    assert [(k, delta) for k, delta, _ in entries] == [(1, ONE), (2, ONE), (3, ONE)]
+
+
+@pytest.mark.parametrize(
+    "text, x0, results",
+    [
+        ("x*y^2 - 3*x^2", ("0", "0"), ["pass"] * 3),
+        ("exp(x+y)", ("0", "0"), ["pass"] * 3),
+        ("1/(x+y)", ("d^(1/2)", "d"), ["pass", "fail", "fail"]),
+    ],
+)
+def test_one_walk_decides_every_order_as_its_own_check(text, x0, results):
+    f, names = parse_expr(text), ["x", "y"]
+    center = tuple(parse_lc(c) for c in x0)
+    reports = _run_check(f, names, center, [1, 2, 3], 3, ONE, D, FAST_PLAN)
+    assert [r.result for r in reports] == results
+    for r in reports:
+        alone = wlud_check_nd(f, names, center, r.k, 1, D, FAST_PLAN)
+        assert (r.result, r.samples, r.inconclusive, r.margin) == (
+            alone.result, alone.samples, alone.inconclusive, alone.margin
+        )
 
 
 # -- certificates --------------------------------------------------------------------------
