@@ -204,14 +204,16 @@ class _Jet:
         return _Jet(self.layout, [-a for a in self.c])
 
     def __mul__(self, other: "_Jet") -> "_Jet":
+        # Only exact zeros are skipped: a coefficient with no visible terms
+        # but a finite horizon still bounds the horizon of its products.
         out = [ZERO] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
-            if not a:
+            if not a and a.horizon == INF:
                 continue
             for q, r in row:
                 bq = b[q]
-                if bq:
+                if bq or bq.horizon != INF:
                     out[r] = out[r] + a * bq
         return _Jet(self.layout, out)
 
@@ -235,8 +237,9 @@ class _Jet:
         for row in self.layout.inv[1:]:
             s = ZERO
             for p, q in row:
-                if a[p] and b[q]:
-                    s = s + a[p] * b[q]
+                ap, bq = a[p], b[q]
+                if (ap or ap.horizon != INF) and (bq or bq.horizon != INF):
+                    s = s + ap * bq
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
 

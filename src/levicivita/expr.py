@@ -26,9 +26,10 @@ that printed binary64 values round-trip bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import weakref
 from fractions import Fraction
-from operator import methodcaller
+from operator import index, methodcaller
 from typing import Callable, Mapping, Union
 
 from . import series
@@ -48,61 +49,118 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class RationalConst:
+# -- expression nodes (hash-consed) --------------------------------------------
+#
+# Every node is interned: constructing a node equal to a live one returns
+# that object, so each distinct subexpression is one object.  Equality and
+# hashing are identity (object's own), O(1) and never recursive, and the
+# per-node memos of evaluate and diff_symbolic see every repeated subtree.
+# The table holds its nodes weakly; a node no longer referenced leaves it.
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+class _Node:
+    """Base of the node classes: interning, immutability, copy and pickle."""
+
+    __slots__ = ("__weakref__",)
+
+    @classmethod
+    def _intern(cls, *fields):
+        # The key holds the children themselves, and they hash by identity.
+        key = (cls, *fields)
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__match_args__, fields):
+                    object.__setattr__(node, name, value)
+                _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an expression node")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class RationalConst(_Node):
+    __slots__ = __match_args__ = ("value",)
     value: Fraction
 
+    def __new__(cls, value):
+        return cls._intern(value if type(value) is Fraction else Fraction(value))
 
-@dataclass(frozen=True)
-class Variable:
+
+class Variable(_Node):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str):
+        return cls._intern(name)
 
-@dataclass(frozen=True)
-class Add:
+
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+    def __new__(cls, left: "Expr", right: "Expr"):
+        return cls._intern(left, right)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntPow:
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
+class IntPow(_Node):
+    __slots__ = __match_args__ = ("base", "exponent")
     base: "Expr"
     exponent: int
 
+    def __new__(cls, base: "Expr", exponent: int):
+        return cls._intern(base, index(exponent))
 
-@dataclass(frozen=True)
-class Apply:
+
+class Apply(_Node):
+    __slots__ = __match_args__ = ("func", "arg")
     func: str  # one of FUNCTIONS
     arg: "Expr"
 
-    def __post_init__(self):
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.func!r}")
+    def __new__(cls, func: str, arg: "Expr"):
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}")
+        return cls._intern(func, arg)
 
 
 Expr = Union[RationalConst, Variable, Add, Sub, Mul, Div, IntPow, Apply]
 
 
 def const(value) -> RationalConst:
-    return RationalConst(Fraction(value))
+    return RationalConst(value)
 
 
 # -- smart constructors (constant folding only) -------------------------------
@@ -310,7 +368,7 @@ def _parse_atom(sc: _Scanner) -> Expr:
 
 
 def print_expr(e: Expr) -> str:
-    """Render with minimal parentheses; parse_expr(print_expr(e)) == e.
+    """Render with minimal parentheses; parse_expr(print_expr(e)) is e.
 
     An explicit-stack walk, as ``variables``: each operator node is visited
     once to schedule its operands (left last, so it renders first) and once
@@ -656,63 +714,72 @@ def diff_symbolic(e: Expr, var: str) -> Expr:
     """Standard derivative rules with constant folding, nothing more.
 
     abs is rejected: it has no derivative at 0 and exists only to build
-    counterexamples for the uniform-differentiability checks.  Shared
-    subtrees are differentiated once (derivative chains are DAGs).
+    counterexamples for the uniform-differentiability checks.  An
+    explicit-stack walk, as ``evaluate``: operands are differentiated
+    before their node, left before right, and each distinct subexpression
+    once (derivative chains are DAGs).
     """
-    return _diff(e, var, {})
+    derivs: dict[Expr, Expr] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in derivs:
+            stack.pop()
+            continue
+        pending = [a for a in _diff_operands(node) if a not in derivs]
+        if pending:
+            stack += reversed(pending)  # the left operand ends on top
+            continue
+        stack.pop()
+        derivs[node] = _diff_rule(node, var, derivs)
+    return derivs[e]
 
 
-def _diff(e: Expr, var: str, memo: dict) -> Expr:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    match e:
+def _diff_operands(node: Expr) -> tuple:
+    """The operands whose derivatives the rule for node reads."""
+    kind = type(node)
+    if kind is Add or kind is Sub or kind is Mul or kind is Div:
+        return (node.left, node.right)
+    if kind is Apply:
+        if node.func == "abs":
+            raise NotDifferentiableError("abs has no derivative at 0")
+        return (node.arg,)
+    if kind is IntPow:
+        return (node.base,) if node.exponent else ()
+    if kind is RationalConst or kind is Variable:
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _diff_rule(node: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
+    """The derivative of node, given d[a] for each of its _diff_operands."""
+    match node:
         case RationalConst():
-            result = RationalConst(_ZERO)
+            return RationalConst(_ZERO)
         case Variable(name):
-            result = RationalConst(_ONE if name == var else _ZERO)
+            return RationalConst(_ONE if name == var else _ZERO)
         case Add(left, right):
-            result = _add(_diff(left, var, memo), _diff(right, var, memo))
+            return _add(d[left], d[right])
         case Sub(left, right):
-            result = _sub(_diff(left, var, memo), _diff(right, var, memo))
+            return _sub(d[left], d[right])
         case Mul(left, right):
-            result = _add(
-                _mul(_diff(left, var, memo), right),
-                _mul(left, _diff(right, var, memo)),
-            )
+            return _add(_mul(d[left], right), _mul(left, d[right]))
         case Div(left, right):
-            num = _sub(
-                _mul(_diff(left, var, memo), right),
-                _mul(left, _diff(right, var, memo)),
-            )
-            result = _div(num, IntPow(right, 2))
+            num = _sub(_mul(d[left], right), _mul(left, d[right]))
+            return _div(num, IntPow(right, 2))
         case IntPow(base, exponent):
             if exponent == 0:
-                result = RationalConst(_ZERO)
-            else:
-                inner = _diff(base, var, memo)
-                if exponent == 1:
-                    result = inner
-                else:
-                    result = _mul(
-                        _mul(const(exponent), IntPow(base, exponent - 1)), inner
-                    )
+                return RationalConst(_ZERO)
+            if exponent == 1:
+                return d[base]
+            return _mul(_mul(const(exponent), IntPow(base, exponent - 1)), d[base])
         case Apply("exp", arg):
-            result = _mul(Apply("exp", arg), _diff(arg, var, memo))
+            return _mul(node, d[arg])
         case Apply("ln", arg):
-            result = _div(_diff(arg, var, memo), arg)
+            return _div(d[arg], arg)
         case Apply("sin", arg):
-            result = _mul(Apply("cos", arg), _diff(arg, var, memo))
+            return _mul(Apply("cos", arg), d[arg])
         case Apply("cos", arg):
-            result = _neg(_mul(Apply("sin", arg), _diff(arg, var, memo)))
+            return _neg(_mul(Apply("sin", arg), d[arg]))
         case Apply("sqrt", arg):
-            result = _div(
-                _diff(arg, var, memo), _mul(const(2), Apply("sqrt", arg))
-            )
-        case Apply("abs", _):
-            raise NotDifferentiableError("abs has no derivative at 0")
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = result
-    return result
+            return _div(d[arg], _mul(const(2), node))

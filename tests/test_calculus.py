@@ -283,7 +283,8 @@ def test_jet_evaluates_each_shared_node_once(monkeypatch):
         f = diff_symbolic(f, "x")
     nodes = _distinct_nodes(f)
     applies = sum(isinstance(node, Apply) for node in nodes)
-    assert (applies, len(nodes)) == (96, 662)
+    # interned nodes: exp(sin(x)), sin(x) and cos(x) are the only calls
+    assert (applies, len(nodes)) == (3, 66)
     calls = []
     scaled_derivs = calculus._scaled_derivs
 
@@ -311,6 +312,52 @@ def _distinct_nodes(e) -> list:
         elif not isinstance(node, (RationalConst, Variable)):
             stack += [node.left, node.right]
     return out
+
+
+# -- jets and eval_lc agree on coefficient 0 ----------------------------------------
+
+#: Expressions in which a difference has no visible terms but a finite horizon.
+CANCELLING = [
+    "(x-x)*x + x^20",
+    "(x*x - x^2)*exp(x) + x^3",
+    "sin(x)*(x - x) + cos(x)",
+    "(x - x)^2 + ln(1 + x^2)",
+    "1/(2 + x*x - x^2) + x*(x - x)",
+]
+
+
+def test_jet_keeps_the_horizon_of_a_visible_zero():
+    # x - x at d^2 is zero only below horizon 32, so (x-x)*x is known only
+    # below 34; the d^40 of x^20 lies past that
+    f = parse_expr("(x-x)*x + x^20")
+    center = parse_lc("d^2")
+    value = eval_lc(f, {"x": center})
+    assert value == LCNumber([], F(34))
+    assert taylor_jet(f, "x", center, 1).coeffs[0] == value
+
+
+@st.composite
+def non_real_centers(draw):
+    """a + sum(c_i d^(p_i)) with two or three infinitesimal terms, horizon 32."""
+    a = draw(st.just(0) | st.integers(-4, 8)) / 8  # often infinitesimal
+    powers = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True))
+    terms = [(F(0), a)] + [
+        (F(p, 4), draw(st.integers(-16, 16).filter(bool)) / 8) for p in powers
+    ]
+    return LCNumber(terms, F(32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.sampled_from(CANCELLING) | st.sampled_from(CORPUS_30),
+    center=non_real_centers(),
+    k=st.integers(1, 3),
+)
+def test_jet_value_is_eval_lc(text, center, k):
+    # coefficient 0 of a jet is f(x0) by the same field operations, so the
+    # two agree in terms and in horizon
+    f = parse_expr(text)
+    assert taylor_jet(f, "x", center, k).coeffs[0] == eval_lc(f, {"x": center})
 
 
 # -- directional powers ----------------------------------------------------------------

@@ -1,6 +1,11 @@
+import copy
+import gc
 import math
+import pickle
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -27,11 +32,14 @@ from levicivita import (
     print_expr,
     variables,
 )
+from levicivita import expr
 from levicivita.errors import (
     LCSyntaxError,
     NotDifferentiableError,
     UnboundVariableError,
 )
+
+from _corpus import CORPUS_30
 
 F = Fraction
 X = Variable("x")
@@ -104,9 +112,10 @@ def test_print_parse_round_trip():
 
 
 def test_print_long_flat_sum():
-    # 3000 operators deep; the strings are compared because == on the nodes
-    # recurses as well
-    assert print_expr(parse_expr("x" + "+x" * 3000)) == "x" + " + x" * 3000
+    # 3000 operators deep: far past the interpreter's recursion limit
+    e = parse_expr("x" + "+x" * 3000)
+    assert print_expr(e) == "x" + " + x" * 3000
+    assert parse_expr(print_expr(e)) is e
 
 
 def test_print_deep_right_nested_difference():
@@ -124,6 +133,146 @@ def test_variables():
 def test_variables_of_long_flat_sum():
     # 3000 operators deep: far past the interpreter's recursion limit
     assert variables(parse_expr("x" + "+x" * 3000)) == {"x"}
+
+
+# -- interning ----------------------------------------------------------------------
+
+
+def test_equal_text_parses_to_one_object():
+    assert parse_expr("exp(x)*sin(x) + 1/2") is parse_expr("exp(x) * sin(x) + (1/2)")
+    assert parse_expr("x + 1") is not parse_expr("1 + x")
+
+
+def test_constants_are_keyed_by_their_rational_value():
+    assert RationalConst(1) is RationalConst(F(1))
+    assert RationalConst(0.5) is RationalConst(F(1, 2))
+    assert type(RationalConst(3).value) is Fraction
+
+
+def test_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        X.name = "y"
+    with pytest.raises(AttributeError):
+        del X.name
+    assert X.name == "x"
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    e = parse_expr("exp(x)*sin(x) + x^-2/3")
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_threads_building_one_expression_get_one_object():
+    # four threads race to intern the same 2,001 fresh nodes
+    barrier = threading.Barrier(4)
+
+    def build():
+        barrier.wait(timeout=30)
+        e = Variable("built_by_threads")
+        for i in range(1000):
+            e = Add(e, RationalConst(i))
+        return e
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(build) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(e is results[0] for e in results)
+    assert len(_distinct_nodes(results[0])) == 2001
+
+
+def test_unreferenced_node_leaves_the_table():
+    gc.collect()
+    before = len(expr._NODES)
+    node = Apply("exp", Variable("referenced_once"))
+    assert len(expr._NODES) == before + 2
+    del node
+    gc.collect()
+    assert len(expr._NODES) == before
+
+
+def test_unknown_function_enters_nothing():
+    gc.collect()
+    before = len(expr._NODES)
+    with pytest.raises(ValueError, match="bogus"):
+        Apply("bogus", X)
+    assert len(expr._NODES) == before
+
+
+def test_derivative_chains_share_every_equal_subtree():
+    # counted by identity and by structure, the nodes of criterion 3's
+    # derivative chains agree: no construction path skips interning
+    roots = []
+    for text in CORPUS_30:
+        e = parse_expr(text)
+        roots.append(e)
+        for _ in range(8):
+            e = diff_symbolic(e, "x")
+            roots.append(e)
+    nodes = _distinct_nodes(*roots)
+    assert len(nodes) == len(_structural_classes(nodes)) == 2626
+
+
+def _operands(node) -> tuple:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, IntPow):
+        return (node.base,)
+    if isinstance(node, Apply):
+        return (node.arg,)
+    return ()
+
+
+def _distinct_nodes(*roots) -> list:
+    """The nodes reachable from roots, one per object."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack += _operands(node)
+    return out
+
+
+def _structural_classes(nodes) -> set:
+    """Number the subtrees of nodes by structure alone; equal trees, one number.
+
+    An explicit-stack walk: each node's key is its class, its scalar fields
+    and the numbers of its operands, so it is ready once they are.
+    """
+    number: dict[int, int] = {}
+    classes: dict[tuple, int] = {}
+    stack = list(nodes)
+    while stack:
+        node = stack[-1]
+        if id(node) in number:
+            stack.pop()
+            continue
+        pending = [a for a in _operands(node) if id(a) not in number]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if isinstance(node, RationalConst):
+            scalars = (node.value,)
+        elif isinstance(node, Variable):
+            scalars = (node.name,)
+        elif isinstance(node, IntPow):
+            scalars = (node.exponent,)
+        elif isinstance(node, Apply):
+            scalars = (node.func,)
+        else:
+            scalars = ()
+        key = (type(node).__name__, scalars, tuple(number[id(a)] for a in _operands(node)))
+        number[id(node)] = classes.setdefault(key, len(classes))
+    return set(number.values())
 
 
 # -- LC literal parsing ------------------------------------------------------------
@@ -278,6 +427,14 @@ def test_diff_quotient_and_sqrt():
     assert eval_lc(d, {"x": ZERO}).real_part() == -1.0
     d = diff_symbolic(parse_expr("sqrt(x)"), "x")
     assert eval_lc(d, {"x": LCNumber.from_real(4)}).real_part() == pytest.approx(0.25)
+
+
+def test_diff_long_flat_sum():
+    # 3000 operators deep: far past the interpreter's recursion limit
+    e = parse_expr("x" + "+x" * 3000)
+    assert hash(e) == hash(e)
+    assert e == parse_expr("x" + "+x" * 3000)
+    assert diff_symbolic(e, "x") is RationalConst(F(3001))
 
 
 def test_diff_abs_rejected():
