@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from . import series
-from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc
+from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc, power
 from .errors import (
     InfiniteLimitError,
     NonJetResultError,
@@ -30,27 +30,23 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .expr import Expr, eval_lc, evaluate
-from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """Scaled derivatives c_j = f^(j)(x0)/j! for j = 0..order."""
-
-    center: LCNumber
-    coeffs: tuple[LCNumber, ...]
+class TaylorJet(series.PowerSeries):
+    """Scaled derivatives c_j = f^(j)(x0)/j! for j = 0..order: the Taylor
+    polynomial of f at x0, a power series centred there."""
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.jmax
 
     def derivative(self, j: int) -> LCNumber:
         if j > self.order:
             raise OrderTooHighError(f"order {j} exceeds jet order {self.order}")
         return self.coeffs[j] * float(math.factorial(j))
 
-    def to_power_series(self) -> PowerSeries:
-        return PowerSeries(self.center, self.coeffs)
+    def to_power_series(self) -> series.PowerSeries:
+        return self
 
 
 @dataclass(frozen=True)
@@ -218,17 +214,7 @@ class _Jet:
         return _Jet(self.layout, out)
 
     def __pow__(self, n: int) -> "_Jet":
-        if n < 0:
-            return self.inv() ** -n
-        result = _Jet.constant(ONE, self.layout)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, _Jet.constant(ONE, self.layout))
 
     def inv(self) -> "_Jet":
         a = self.c
@@ -358,36 +344,68 @@ def directional_power(pj: PartialJet, v: Sequence, j: int) -> LCNumber:
     """The j-th directional Taylor operator along v applied at the center.
 
     Equals j! * sum over |alpha| = j of table[alpha] * prod(v_i^alpha_i),
-    i.e. the fully expanded ((v . grad))^j f(x0) by the multinomial theorem.
+    i.e. the fully expanded ((v . grad))^j f(x0) by the multinomial theorem:
+    j! times the graded part H_j.
     """
     if j > pj.order:
         raise OrderTooHighError(f"order {j} exceeds jet order {pj.order}")
-    vec = _direction(pj, v)
-    degree_j = {a: (c if sum(a) == j else ZERO) for a, c in pj.table.items()}
-    return _horner(degree_j, _horner_plan(pj.n, j), vec) * float(math.factorial(j))
+    part = _graded_parts(pj, _direction(pj, v), j, j).get(j)
+    return ZERO if part is None else part * float(math.factorial(j))
 
 
 def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     """sum(table[alpha] * v^alpha) over |alpha| <= k, by nested Horner.
 
     Equals f(x0) + sum((1/j!) * directional_power(pj, v, j), j = 1..k) with
-    the factorials cancelled.  With one variable it performs exactly the
-    operations of ``taylor_polynomial_eval``.
+    the factorials cancelled.  With one variable it is exactly
+    ``taylor_polynomial_eval``.
     """
     if k > pj.order:
         raise OrderTooHighError(f"order {k} exceeds jet order {pj.order}")
     return _horner(pj.table, _horner_plan(pj.n, k), _direction(pj, v))
 
 
+def _graded_parts(pj: PartialJet, vec: list[LCNumber], lo: int, hi: int) -> dict:
+    """{j: H_j} for lo <= j <= hi, H_j = sum(table[alpha] * v^alpha, |alpha| = j).
+
+    Parts whose coefficients are all exact zeros are left out, and so are
+    the monomials past the last other coefficient (a visible zero still
+    bounds the horizon).  Each monomial v^alpha is one multiplication from
+    its parent's, and each part is summed left to right.
+    """
+    layout = _layout(pj.n, pj.order)
+    # the graded indices of degree <= d are the first comb(n + d, n)
+    end = math.comb(pj.n + hi, pj.n)
+    coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
+    while end > 1 and not coeffs[end - 1] and coeffs[end - 1].horizon == INF:
+        end -= 1
+    start = math.comb(pj.n + lo - 1, pj.n)
+    if end <= start:
+        return {}
+    mono = [ONE] * end
+    for p in range(1, end):
+        q, i = layout.parent[p]
+        mono[p] = vec[i] if q == 0 else mono[q] * vec[i]
+    parts = {}
+    for j in range(lo, hi + 1):
+        stop = min(end, math.comb(pj.n + j, pj.n))
+        part = None
+        for p in range(start, stop):
+            if coeffs[p] or coeffs[p].horizon != INF:
+                term = coeffs[p] * mono[p]
+                part = term if part is None else part + term
+        if part is not None:
+            parts[j] = part
+        start = stop
+    return parts
+
+
 def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[LCNumber]:
     """``partial_taylor_eval(pj, v, k)`` for each of the ascending orders ks.
 
     The lowest order is nested Horner, so it is exactly that call.  Each
-    higher order adds the homogeneous parts H_j = sum(table[alpha] * v^alpha,
-    |alpha| = j) above the one before it (degree-graded Taylor propagation),
-    with each monomial v^alpha one multiplication from its parent's.  Parts
-    past the last degree with a coefficient other than an exact zero are
-    zero and not formed.
+    higher order adds the graded parts H_j above the one before it
+    (degree-graded Taylor propagation).
     """
     top = ks[-1]
     if top > pj.order:
@@ -397,47 +415,22 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     sums = [total]
     if len(ks) == 1:
         return sums
-    layout = _layout(pj.n, pj.order)
-    # the graded indices of degree <= d are the first comb(n + d, d); only
-    # exact zeros are skipped, as a visible zero still bounds the horizon
-    end = math.comb(pj.n + top, top)
-    coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
-    while end > 1 and not coeffs[end - 1] and coeffs[end - 1].horizon == INF:
-        end -= 1
-    last = sum(layout.indices[end - 1])
-    degree = ks[0]
-    start = math.comb(pj.n + degree, degree)
-    if end <= start:
-        return sums * len(ks)
-    mono = [ONE] * end
-    for p in range(1, end):
-        q, i = layout.parent[p]
-        mono[p] = vec[i] if q == 0 else mono[q] * vec[i]
-    for k in ks[1:]:
-        while degree < min(k, last):
-            degree += 1
-            stop = min(end, math.comb(pj.n + degree, degree))
-            part = None
-            for p in range(start, stop):
-                if coeffs[p] or coeffs[p].horizon != INF:
-                    term = coeffs[p] * mono[p]
-                    part = term if part is None else part + term
-            if part is not None:
-                total = total + part
-            start = stop
+    parts = _graded_parts(pj, vec, ks[0] + 1, top)
+    for below, k in zip(ks, ks[1:]):
+        for j in range(below + 1, k + 1):
+            if j in parts:
+                total = total + parts[j]
         sums.append(total)
     return sums
 
 
 def taylor_polynomial_eval(jet: TaylorJet, y, k: int) -> LCNumber:
-    """Evaluate the degree-k Taylor polynomial of the jet at y (Horner)."""
-    if k > jet.order:
-        raise OrderTooHighError(f"order {k} exceeds jet order {jet.order}")
-    delta = as_lc(y) - jet.center
-    result = jet.coeffs[k]
-    for j in range(k - 1, -1, -1):
-        result = result * delta + jet.coeffs[j]
-    return result
+    """Evaluate the degree-k Taylor polynomial of the jet at y (Horner).
+
+    This is ``partial_taylor_eval`` on the jet's one-variable table.
+    """
+    pj = PartialJet((jet.center,), jet.order, {(j,): c for j, c in enumerate(jet.coeffs)})
+    return partial_taylor_eval(pj, (as_lc(y) - jet.center,), k)
 
 
 def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:

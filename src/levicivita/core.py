@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
+from operator import methodcaller
 from typing import Iterable, Union
 
 from .errors import ZeroOperandError
@@ -132,6 +133,21 @@ def _canonical(den: int, items):
         den //= g
         items = tuple((e // g, c) for e, c in items)
     return den, tuple(items)
+
+
+def power(x, n: int, one, inv=methodcaller("inv")):
+    """x^n by square-and-multiply, after one inversion if n < 0, in any
+    domain with ``*``, its unit ``one`` and its reciprocal ``inv``."""
+    if n < 0:
+        x, n = inv(x), -n
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 class LCNumber:
@@ -456,17 +472,7 @@ class LCNumber:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, ONE)
 
     def inv(self) -> "LCNumber":
         """Multiplicative inverse, exact up to horizon h(x) - 2*lambda(x).

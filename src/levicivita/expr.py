@@ -33,7 +33,7 @@ from operator import index, methodcaller
 from typing import Callable, Mapping, Union
 
 from . import series
-from .core import LCNumber, default_horizon
+from .core import LCNumber, default_horizon, power
 from .errors import (
     LCError,
     LCSyntaxError,
@@ -85,9 +85,15 @@ class _Node:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an expression node")
 
+    def __copy__(self):
+        return self  # a node is immutable, so it is its own copy
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the constructor, which
-        # returns the interned node
+        # pickle rebuilds through the constructor, which returns the
+        # interned node
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self):
@@ -622,19 +628,9 @@ def _float_inv(y: float) -> float:
 
 
 def _float_power(x: float, n: int) -> float:
-    # LCNumber.__pow__: square-and-multiply, after one inversion if n < 0.
-    if n == 0:
-        return 1.0 if x == x else x  # a nan must still reach the result
-    if n < 0:
-        x, n = _float_inv(x), -n
-    result = 1.0
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
+    if n == 0 and x != x:
+        return x  # a nan must still reach the result
+    return power(x, n, 1.0, _float_inv)
 
 
 def _float_sqrt(x: float) -> float:

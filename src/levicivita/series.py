@@ -78,6 +78,15 @@ class ConvergenceVerdict:
     gap: Valuation  # lambda(x - center) - lambda0_estimate
 
 
+def growth_window(jmax: int, window: Optional[int]) -> int:
+    """The trailing window of a growth estimate: default the last half."""
+    if window is None:
+        return max(1, jmax // 2)
+    if not 1 <= window <= jmax:
+        raise ValueError(f"window must be in 1..{jmax}, got {window}")
+    return window
+
+
 def lambda0_estimate(s: PowerSeries, window: Optional[int] = None) -> Valuation:
     """Trailing-window surrogate for limsup(-lambda(a_j)/j).
 
@@ -88,10 +97,7 @@ def lambda0_estimate(s: PowerSeries, window: Optional[int] = None) -> Valuation:
     jmax = s.jmax
     if jmax < 1:
         raise EmptySeriesError("need at least one coefficient beyond a_0")
-    if window is None:
-        window = max(1, jmax // 2)
-    if not 1 <= window <= jmax:
-        raise ValueError(f"window must be in 1..{jmax}, got {window}")
+    window = growth_window(jmax, window)
     best: Valuation = _NEG_INF
     for j in range(jmax - window + 1, jmax + 1):
         a = s.coeffs[j]

@@ -40,7 +40,7 @@ from .core import (
 )
 from .expr import Expr, eval_lc
 from .calculus import PartialJet, partial_jet, partial_taylor_eval, partial_taylor_sums
-from .series import PowerSeries, _taylor_sum, _working_horizon, recenter
+from .series import PowerSeries, _taylor_sum, _working_horizon, growth_window, recenter
 
 _NEG_INF = -math.inf
 
@@ -355,14 +355,10 @@ def _delta_ladder_search_nd(f, names, x0, kmax, ladder, plan):
 
 
 def _resolve_window(jmax: int, kmax: int, window: Optional[int]) -> int:
-    """Check the orders and the growth window; the default is the last half."""
+    """Check the orders; the growth window is ``series.growth_window``."""
     if jmax < 1 or kmax < 1:
         raise ValueError("jmax and kmax must be >= 1")
-    if window is None:
-        return max(1, jmax // 2)
-    if not 1 <= window <= jmax:
-        raise ValueError(f"window must be in 1..{jmax}, got {window}")
-    return window
+    return growth_window(jmax, window)
 
 
 def analyticity_certificate_1d(

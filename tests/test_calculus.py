@@ -383,6 +383,28 @@ def test_directional_power_homogeneity():
         assert approx_equal(lhs, rhs)
 
 
+def test_directional_power_is_j_factorial_times_the_graded_part(monkeypatch):
+    # n = 2, order 6, j = 2, with every coefficient of degree <= 2 nonzero
+    pj = partial_jet(parse_expr("exp(x+2*y)"), ["x", "y"], [real(0.5), D], 6)
+    v = (parse_lc("d - d^2"), parse_lc("1/3 + d^(1/2)"))
+    products = []
+    mul = LCNumber.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LCNumber, "__mul__", counting_mul)
+    value = directional_power(pj, v, 2)
+    monkeypatch.undo()
+    n, j = 2, 2
+    # the monomials past degree 1, one product per degree-j coefficient, and j!
+    assert len(products) == (math.comb(n + j, j) - 1 - n) + math.comb(n + j - 1, j) + 1
+    t = pj.table
+    expected = (t[(2, 0)] * v[0] * v[0] + t[(1, 1)] * v[0] * v[1] + t[(0, 2)] * v[1] * v[1]) * 2.0
+    assert approx_equal(value, expected, rel_tol=1e-14)
+
+
 def test_directional_power_order_too_high():
     pj = partial_jet(parse_expr("x+y"), ["x", "y"], [0, 0], 1)
     with pytest.raises(OrderTooHighError):

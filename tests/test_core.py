@@ -23,7 +23,7 @@ from levicivita import (
     ultrametric,
     valuation,
 )
-from levicivita.core import as_lc
+from levicivita.core import as_lc, power
 from levicivita.errors import ZeroOperandError
 
 from _corpus import dyadic_invertible_number, field_suite_number
@@ -301,6 +301,15 @@ def test_pow_and_div():
     q = monomial(2) / D
     assert q.terms == ((F(1), 1.0),)
     assert (D ** -2).terms == ((F(-2), 1.0),)
+
+
+def test_power_is_one_loop_for_lc_numbers_and_floats():
+    x = lc((F(0), 1.5), (F(1, 2), -0.25), (F(3), 2.0), horizon=F(32))
+    for n in range(-4, 7):
+        assert power(x, n, ONE) == x ** n
+    assert power(3.0, 5, 1.0) == 243.0
+    assert power(2.0, -3, 1.0, lambda y: 1.0 / y) == 0.125
+    assert power(0.0, 0, 1.0) == 1.0
 
 
 def test_structural_equality_and_hash():

@@ -164,6 +164,14 @@ def test_copy_and_pickle_return_the_interned_node():
     assert pickle.loads(pickle.dumps(e)) is e
 
 
+def test_copies_of_a_deep_expression_are_the_node():
+    # a node is immutable, so copying returns it without walking its operands
+    e = parse_expr("x" + "+x" * 3000)
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy([e, e])[1] is e
+
+
 def test_threads_building_one_expression_get_one_object():
     # four threads race to intern the same 2,001 fresh nodes
     barrier = threading.Barrier(4)

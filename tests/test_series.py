@@ -32,7 +32,7 @@ from levicivita import (
     taylor_jet,
     diff_symbolic,
 )
-from levicivita.series import _taylor_sum
+from levicivita.series import _taylor_sum, growth_window
 from levicivita.errors import (
     DomainError,
     EmptySeriesError,
@@ -171,6 +171,28 @@ def test_termwise_matches_symbolic_oracle(text):
     oracle = taylor_jet(diff_symbolic(f, "x"), "x", ZERO, 8)
     for mine, ref in zip(termwise.coeffs, oracle.coeffs):
         assert mine.real_part() == pytest.approx(ref.real_part(), rel=1e-10, abs=1e-12)
+
+
+def test_taylor_jet_is_its_power_series():
+    x0 = parse_lc("d")
+    jet = taylor_jet(parse_expr("1/(1-x)"), "x", x0, 8)
+    assert isinstance(jet, PowerSeries)
+    assert jet.to_power_series() is jet
+    assert jet.order == jet.jmax == 8
+    plain = PowerSeries(jet.center, jet.coeffs)
+    x = x0 + monomial(2, 0.5)
+    verdict = converges_at(jet, x)
+    assert verdict.verdict is Verdict.CONVERGES
+    assert verdict == converges_at(plain, x)
+    assert recenter(jet, x) == recenter(plain, x)
+
+
+def test_growth_window_default_is_the_last_half():
+    assert [growth_window(jmax, None) for jmax in (1, 2, 7, 8)] == [1, 1, 3, 4]
+    assert growth_window(8, 8) == 8
+    for window in (0, 9):
+        with pytest.raises(ValueError, match=f"window must be in 1..8, got {window}"):
+            growth_window(8, window)
 
 
 def test_termwise_order_too_high():
