@@ -198,18 +198,6 @@ class LCNumber:
         _set_view(obj, None)
         return obj
 
-    @classmethod
-    def _make(cls, terms: tuple, horizon: Valuation) -> "LCNumber":
-        # Terms are (Fraction, float), sorted, merged, zero-free, clipped.
-        den = 1
-        for e, _ in terms:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-        items = tuple(
-            (e.numerator * (den // e.denominator), c) for e, c in terms
-        )
-        den, items = _canonical(den, items)
-        return cls._from_grid(den, items, horizon)
-
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
 
@@ -493,22 +481,31 @@ class LCNumber:
             self.horizon - 2 * q if self.horizon != INF else default_horizon()
         )
         rel = target + q  # horizon in the d^q-factored frame
-        q_int = self._iterms[0][0]
-        shifted = tuple(
-            (e - q_int, -c / a)
-            for e, c in self._iterms[1:]
-            if c / a != 0.0  # guard coefficient underflow
-        )
-        den, items = _canonical(self._den, shifted)
-        neg_u = LCNumber._from_grid(
-            den, items, min(rel, self.horizon - q)
-        ).truncate(rel)
+        neg_u = -self._unit_part(rel)
         total = ONE
         power = neg_u
         while power._iterms:
             total = total + power
             power = (power * neg_u).truncate(rel)
-        return total._monomial_mul(1.0 / a, -q_int, self._den, target)
+        return total._monomial_mul(1.0 / a, -self._iterms[0][0], self._den, target)
+
+    def _unit_part(self, limit: Fraction) -> "LCNumber":
+        """u in self = a*d^q*(1 + u), known up to ``limit`` <= h(self) - q.
+
+        u is cut below ``limit``, its horizon, and a coefficient c/a that
+        underflows to 0 is dropped.
+        """
+        q, a = self._iterms[0]
+        bound = _ceil_bound(limit, self._den)
+        items = []
+        for e, c in self._iterms[1:]:
+            if e - q >= bound:
+                break  # the terms are sorted
+            c /= a
+            if c != 0.0:
+                items.append((e - q, c))
+        den, items = _canonical(self._den, items)
+        return LCNumber._from_grid(den, items, limit)
 
     # -- order -------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 from operator import index, methodcaller
 from typing import Callable, Mapping, Union
@@ -92,9 +93,19 @@ class _Node:
         return self
 
     def __reduce__(self):
-        # pickle rebuilds through the constructor, which returns the
-        # interned node
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # A flat encoding at any depth: the postorder of the DAG, each node
+        # as its class and fields, an operand as a 1-tuple holding its
+        # position there (no field is a tuple).  Loading rebuilds through
+        # the constructors, which return the interned nodes.
+        position: dict[_Node, int] = {}
+        rows = []
+        for node in _postorder(self):
+            position[node] = len(rows)
+            fields = (getattr(node, name) for name in node.__match_args__)
+            rows.append((type(node), tuple(
+                (position[f],) if isinstance(f, _Node) else f for f in fields
+            )))
+        return _unpickle, (tuple(rows),)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -169,6 +180,47 @@ def const(value) -> RationalConst:
     return RationalConst(value)
 
 
+def _unpickle(rows) -> Expr:
+    nodes: list = []
+    for cls, fields in rows:
+        nodes.append(cls(*(nodes[f[0]] if type(f) is tuple else f for f in fields)))
+    return nodes[-1]
+
+
+def _operands(node) -> tuple:
+    """The operands of an expression node, left first."""
+    kind = type(node)
+    if kind is Add or kind is Sub or kind is Mul or kind is Div:
+        return (node.left, node.right)
+    if kind is IntPow:
+        return (node.base,)
+    if kind is Apply:
+        return (node.arg,)
+    if kind is RationalConst or kind is Variable:
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _postorder(root, operands=_operands):
+    """Each distinct node reachable from root through ``operands(node)``, once,
+    after its operands, left operand first; an explicit-stack walk, so any
+    depth walks."""
+    done: set = set()
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        pending = [a for a in operands(node) if a not in done]
+        if pending:
+            stack += reversed(pending)  # the left operand ends on top
+            continue
+        stack.pop()
+        done.add(node)
+        yield node
+
+
 # -- smart constructors (constant folding only) -------------------------------
 
 _ZERO = Fraction(0)
@@ -225,6 +277,12 @@ def _neg(a: Expr) -> Expr:
     if isinstance(a, RationalConst):
         return RationalConst(-a.value)
     return _sub(RationalConst(_ZERO), a)
+
+
+def _pow(base: Expr, n: int) -> Expr:
+    if isinstance(base, RationalConst) and (base.value != 0 or n >= 0):
+        return RationalConst(base.value**n)
+    return IntPow(base, n)
 
 
 # -- expression parser ---------------------------------------------------------
@@ -341,10 +399,7 @@ def _parse_power(sc: _Scanner) -> Expr:
     exponent = _parse_unary(sc)  # right-associative; unary allows -2, 2^3
     if not isinstance(exponent, RationalConst) or exponent.value.denominator != 1:
         raise LCSyntaxError("integer exponent required", op_pos, ("integer",))
-    n = int(exponent.value)
-    if isinstance(base, RationalConst) and (base.value != 0 or n >= 0):
-        return RationalConst(base.value**n)
-    return IntPow(base, n)
+    return _pow(base, int(exponent.value))
 
 
 def _parse_atom(sc: _Scanner) -> Expr:
@@ -376,55 +431,44 @@ def _parse_atom(sc: _Scanner) -> Expr:
 def print_expr(e: Expr) -> str:
     """Render with minimal parentheses; parse_expr(print_expr(e)) is e.
 
-    An explicit-stack walk, as ``variables``: each operator node is visited
-    once to schedule its operands (left last, so it renders first) and once
-    more to join their renderings, parenthesised where its context binds
-    tighter.
+    Each distinct node renders once, after its operands, to its text and
+    how tightly it binds; a parent parenthesises an operand whose context
+    binds tighter.  An operand's text is dropped at its last use, so a deep
+    chain holds only the texts still to be joined.
     """
-    rendered: list[str] = []
-    stack = [(e, 0, False)]
-    while stack:
-        node, context, joining = stack.pop()
+    nodes = list(_postorder(e))
+    uses = Counter(a for node in nodes for a in _operands(node))
+    out: dict[Expr, tuple[str, int]] = {}
+
+    def operand(a: Expr, context: int) -> str:
+        uses[a] -= 1
+        text, binds = out[a] if uses[a] else out.pop(a)
+        return f"({text})" if context > binds else text
+
+    for node in nodes:
         kind = type(node)
         if kind is RationalConst:
-            rendered.append(_print_const(node.value, context))
+            # negative or fractional constants reparse atomically only in
+            # parentheses ("1/2" would scan as a division)
+            v = node.value
+            out[node] = str(v), (0 if v < 0 or v.denominator != 1 else _ATOM)
         elif kind is Variable:
-            rendered.append(node.name)
-        elif kind not in _PREC and kind is not Apply:
-            raise TypeError(f"not an expression node: {node!r}")
-        elif not joining:
-            stack.append((node, context, True))
-            if kind is Apply:
-                stack.append((node.arg, 0, False))
-            elif kind is IntPow:
-                stack.append((node.base, 5, False))
-            else:
-                prec = _PREC[kind]
-                stack.append((node.right, prec + 1, False))  # left-associative
-                stack.append((node.left, prec, False))
+            out[node] = node.name, _ATOM
         elif kind is Apply:
-            rendered.append(f"{node.func}({rendered.pop()})")
+            out[node] = f"{node.func}({operand(node.arg, 0)})", _ATOM
+        elif kind is IntPow:
+            out[node] = f"{operand(node.base, _ATOM)}^{node.exponent}", _PREC[kind]
         else:
-            if kind is IntPow:
-                body = f"{rendered.pop()}^{node.exponent}"
-            else:
-                right = rendered.pop()
-                body = f"{rendered.pop()} {_OP[kind]} {right}"
-            rendered.append(f"({body})" if context > _PREC[kind] else body)
-    return rendered[0]
+            prec = _PREC[kind]
+            left = operand(node.left, prec)
+            right = operand(node.right, prec + 1)  # left-associative
+            out[node] = f"{left} {_OP[kind]} {right}", prec
+    return out[e][0]
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, IntPow: 4}
 _OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
-def _print_const(v: Fraction, context: int) -> str:
-    s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if v < 0 or v.denominator != 1:
-        # Negative or fractional constants reparse atomically only in
-        # parentheses ("1/2" would scan as a division).
-        return f"({s})" if context > 0 else s
-    return s
+_ATOM = 5  # binds as tightly as any context
 
 
 # -- LC literal parser ---------------------------------------------------------
@@ -679,28 +723,8 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
 
 
 def variables(e: Expr) -> set[str]:
-    """The names of the variables in e; an explicit-stack walk, as evaluate."""
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kind = type(node)
-        if kind is Variable:
-            names.add(node.name)
-        elif kind is Apply:
-            stack.append(node.arg)
-        elif kind is IntPow:
-            stack.append(node.base)
-        elif kind is Add or kind is Sub or kind is Mul or kind is Div:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind is not RationalConst:
-            raise TypeError(f"not an expression node: {node!r}")
-    return names
+    """The names of the variables in e."""
+    return {node.name for node in _postorder(e) if type(node) is Variable}
 
 
 # -- symbolic differentiation (test oracle) ------------------------------------
@@ -710,41 +734,23 @@ def diff_symbolic(e: Expr, var: str) -> Expr:
     """Standard derivative rules with constant folding, nothing more.
 
     abs is rejected: it has no derivative at 0 and exists only to build
-    counterexamples for the uniform-differentiability checks.  An
-    explicit-stack walk, as ``evaluate``: operands are differentiated
-    before their node, left before right, and each distinct subexpression
-    once (derivative chains are DAGs).
+    counterexamples for the uniform-differentiability checks.  Operands are
+    differentiated before their node, and each distinct subexpression once
+    (derivative chains are DAGs).
     """
     derivs: dict[Expr, Expr] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in derivs:
-            stack.pop()
-            continue
-        pending = [a for a in _diff_operands(node) if a not in derivs]
-        if pending:
-            stack += reversed(pending)  # the left operand ends on top
-            continue
-        stack.pop()
+    for node in _postorder(e, _diff_operands):
         derivs[node] = _diff_rule(node, var, derivs)
     return derivs[e]
 
 
 def _diff_operands(node: Expr) -> tuple:
     """The operands whose derivatives the rule for node reads."""
-    kind = type(node)
-    if kind is Add or kind is Sub or kind is Mul or kind is Div:
-        return (node.left, node.right)
-    if kind is Apply:
-        if node.func == "abs":
-            raise NotDifferentiableError("abs has no derivative at 0")
-        return (node.arg,)
-    if kind is IntPow:
-        return (node.base,) if node.exponent else ()
-    if kind is RationalConst or kind is Variable:
+    if type(node) is Apply and node.func == "abs":
+        raise NotDifferentiableError("abs has no derivative at 0")
+    if type(node) is IntPow and node.exponent == 0:
         return ()
-    raise TypeError(f"not an expression node: {node!r}")
+    return _operands(node)
 
 
 def _diff_rule(node: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
@@ -762,13 +768,13 @@ def _diff_rule(node: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
             return _add(_mul(d[left], right), _mul(left, d[right]))
         case Div(left, right):
             num = _sub(_mul(d[left], right), _mul(left, d[right]))
-            return _div(num, IntPow(right, 2))
+            return _div(num, _pow(right, 2))
         case IntPow(base, exponent):
             if exponent == 0:
                 return RationalConst(_ZERO)
             if exponent == 1:
                 return d[base]
-            return _mul(_mul(const(exponent), IntPow(base, exponent - 1)), d[base])
+            return _mul(_mul(const(exponent), _pow(base, exponent - 1)), d[base])
         case Apply("exp", arg):
             return _mul(node, d[arg])
         case Apply("ln", arg):

@@ -28,6 +28,7 @@ from .core import (
     as_lc,
     default_horizon,
     format_lc,
+    monomial,
 )
 from .errors import (
     DomainError,
@@ -257,9 +258,7 @@ def ln(x) -> LCNumber:
     if len(x.terms) == 1:
         return LCNumber.from_real(math.log(a0), x.horizon)
     limit = _working_horizon(x)
-    u = LCNumber._make(
-        tuple((e, c / a0) for e, c in x.terms[1:] if e < limit), limit
-    )
+    u = x._unit_part(limit)
     acc = LCNumber.from_real(math.log(a0), limit)
     for j, power in enumerate(steps(u, None, limit), start=1):
         acc = acc + power * ((1.0 if j % 2 else -1.0) / j)
@@ -333,11 +332,9 @@ def nth_root(x, n: int) -> LCNumber:
     shift = q / n
     if len(x.terms) == 1:
         horizon = x.horizon if x.horizon == INF else x.horizon - q + shift
-        return LCNumber._make(((shift, lead),), horizon)
+        return monomial(shift, lead, horizon)
     limit = _working_horizon(x) - q  # horizon in the d^q-factored frame
-    u = LCNumber._make(
-        tuple((e - q, c / a) for e, c in x.terms[1:] if e - q < limit), limit
-    )
+    u = x._unit_part(limit)
     alpha = 1.0 / n
     terms = steps(u, lambda j: (alpha - (j - 1)) / j, limit)
     acc = sum(terms, ONE.truncate(limit))

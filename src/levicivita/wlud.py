@@ -49,19 +49,17 @@ _NEG_INF = -math.inf
 RESIDUAL_REL_TOL = 1e-12
 
 
+# The deterministic sample grid: offsets c * d^m for each grid coefficient c,
+# both signs, with m from lambda(delta)+1 to lambda(delta)+4 in steps of 1/2.
+_GRID_COEFFICIENTS = (1.0, 0.5, 2.0)
+_DEPTH_START, _DEPTH_STOP, _DEPTH_STEP = Fraction(1), Fraction(4), Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
-    """How the quantifier over a ball is discharged by sampling.
+    """How the quantifier over a ball is discharged by sampling: the
+    deterministic grid plus seeded pseudo-random multi-term offsets."""
 
-    Deterministic grid: offsets c * d^m for c in grid_coefficients, both
-    signs, with m spanning [lambda(delta)+depth_start, lambda(delta)+depth_stop]
-    in depth_step steps; plus seeded pseudo-random multi-term offsets.
-    """
-
-    grid_coefficients: tuple[float, ...] = (1.0, 0.5, 2.0)
-    depth_start: Fraction = Fraction(1)
-    depth_stop: Fraction = Fraction(4)
-    depth_step: Fraction = Fraction(1, 2)
     random_offsets: int = 4
     seed: int = 0xC0FFEE
     max_pairs: int = 400
@@ -71,13 +69,13 @@ class SamplingPlan:
         if lam == INF:
             raise ValueError("delta must be a positive nonzero radius")
         depths = []
-        m = lam + self.depth_start
-        while m <= lam + self.depth_stop:
+        m = lam + _DEPTH_START
+        while m <= lam + _DEPTH_STOP:
             depths.append(m)
-            m = m + self.depth_step
+            m = m + _DEPTH_STEP
         out = []
         for m in depths:
-            for c in self.grid_coefficients:
+            for c in _GRID_COEFFICIENTS:
                 out.append(monomial(m, c))
                 out.append(monomial(m, -c))
         rng = random.Random(self.seed)

@@ -183,6 +183,23 @@ def test_inv_round_trip_sample():
         assert r.terms == ((F(0), 1.0),)
 
 
+def test_unit_part_is_zero_free_and_clipped():
+    # x = a*d^q*(1 + u): u holds no term at or past its horizon, and no
+    # coefficient c/a that underflowed to 0
+    u = (1 + monomial(40))._unit_part(F(32))
+    assert u.is_zero and u.horizon == 32
+    u = LCNumber([(0, 1e300), (F(1, 2), 1e-30), (1, 1.0)], F(32))._unit_part(F(32))
+    assert len(u.terms) == 1 and u.valuation() == 1
+    rng = random.Random(13)
+    for _ in range(200):
+        x = field_suite_number(rng)
+        if x:
+            limit = x.horizon - x.valuation() - rng.randint(0, 3)
+            u = x._unit_part(limit)
+            assert u.horizon == limit
+            assert all(0 < e < limit and c != 0.0 for e, c in u.terms)
+
+
 # -- valuation / compare / abs ---------------------------------------------------
 
 

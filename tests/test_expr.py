@@ -224,7 +224,27 @@ def test_derivative_chains_share_every_equal_subtree():
             e = diff_symbolic(e, "x")
             roots.append(e)
     nodes = _distinct_nodes(*roots)
-    assert len(nodes) == len(_structural_classes(nodes)) == 2626
+    assert len(nodes) == len(_structural_classes(nodes)) == 2287
+
+
+def test_derivative_chains_print_and_parse_back_to_their_nodes():
+    # diff_symbolic folds constant powers as the parser does, so no node of
+    # criterion 3's derivative chains prints as text like "2 / 2^2"
+    for text in CORPUS_30:
+        chain = [parse_expr(text)]
+        for _ in range(8):
+            chain.append(diff_symbolic(chain[-1], "x"))
+        for e in chain:
+            assert parse_expr(print_expr(e)) is e
+
+
+def test_pickle_of_a_deep_expression_is_the_node():
+    # 3000 operators deep: the encoding is flat, each node once in postorder
+    e = parse_expr("x" + "+x" * 3000)
+    assert pickle.loads(pickle.dumps(e)) is e
+    data = pickle.dumps(parse_expr("sin(pickled)^-2 + pickled/(1/2)"))
+    gc.collect()  # that expression is gone, so loading builds it afresh
+    assert print_expr(pickle.loads(data)) == "sin(pickled)^-2 + pickled / (1/2)"
 
 
 def _operands(node) -> tuple:
