@@ -1,31 +1,27 @@
-"""Expression ASTs over real constants, parsing, and LC evaluation.
+r"""Expression ASTs over real constants, parsing, and LC evaluation.
 
-Expression grammar (parse_expr), standard precedence ^ > unary- > * / > + -,
-left-associative binary + - * /, right-associative ^, function application
-by name:
-
-    expr   := add
-    add    := mul (('+'|'-') mul)*
-    mul    := unary (('*'|'/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?        # exponent must fold to an integer
-    atom   := NUMBER | NAME '(' expr ')' | NAME | '(' expr ')'
+Expression grammar (parse_expr): numbers, names, calls ``NAME(expr)`` of
+FUNCTIONS and parentheses, under the operators, tightest first: ``^``
+(right-associative; its exponent is a unary expression that must fold to
+an integer), unary ``-``, ``* /``, ``+ -`` (both left-associative).
 
 LC literal grammar (parse_lc), producing numbers with the default horizon:
 
     number   := ('+'|'-')? term (('+'|'-') term)*
     term     := coeff | coeff? 'd' ('^' exponent)?
-    coeff    := decimal or fraction, e.g. 2, -3.5, 7/2
-    exponent := integer | decimal | '(' integer '/' integer ')'
+    coeff    := COEFF ('/' COEFF)?          e.g. 2, 3.5, .5, 1.5e-3, 7/2
+    exponent := '-'? DECIMAL | '(' '-'? DECIMAL '/' DECIMAL ')'
 
-Constants are parsed exactly as rationals and converted to binary64 once,
-at evaluation.  Coefficients additionally accept scientific notation so
-that printed binary64 values round-trip bit-exactly.
+Number spellings: expression constants and DECIMAL are ``\d+(\.\d*)?``
+(2, 2., 2.5), parsed exactly as rationals; constants become binary64 once,
+at evaluation.  COEFF is ``(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?``, read as
+binary64, so that printed coefficients round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import threading
 import weakref
 from collections import Counter
@@ -44,10 +40,6 @@ from .errors import (
 )
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
-
-#: Deepest nesting of parentheses, calls, unary minus and exponents that
-#: parse_expr accepts; each level costs the recursive parser several frames.
-MAX_NESTING = 100
 
 
 # -- expression nodes (hash-consed) --------------------------------------------
@@ -108,8 +100,13 @@ class _Node:
         return _unpickle, (tuple(rows),)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        def render(node, take):
+            fields = (getattr(node, name) for name in node.__match_args__)
+            shown = (take(f) if isinstance(f, _Node) else repr(f) for f in fields)
+            pairs = ", ".join(f"{n}={v}" for n, v in zip(node.__match_args__, shown))
+            return f"{type(node).__name__}({pairs})"
+
+        return _fold(self, render)
 
 
 class RationalConst(_Node):
@@ -221,6 +218,24 @@ def _postorder(root, operands=_operands):
         yield node
 
 
+def _fold(root, rule):
+    """rule(node, take) for each distinct node under root, in _postorder,
+    where take(a) hands over the result of operand a.  A result is dropped
+    at its last use, so a deep chain holds only the results still to be
+    joined."""
+    nodes = list(_postorder(root))
+    uses = Counter(a for node in nodes for a in _operands(node))
+    out = {}
+
+    def take(a):
+        uses[a] -= 1
+        return out[a] if uses[a] else out.pop(a)
+
+    for node in nodes:
+        out[node] = rule(node, take)
+    return out[root]
+
+
 # -- smart constructors (constant folding only) -------------------------------
 
 _ZERO = Fraction(0)
@@ -285,185 +300,164 @@ def _pow(base: Expr, n: int) -> Expr:
     return IntPow(base, n)
 
 
+# -- tokens --------------------------------------------------------------------
+#
+# One tokenizer serves both grammars; a number token has the COEFF spelling.
+# Exact numbers take only DECIMAL, so no 1e999999 becomes a huge Fraction.
+
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>\w+)|(?P<op>[^ \t\r\n]))"
+)
+_DECIMAL = re.compile(r"\d+(?:\.\d*)?").fullmatch
+
+
+def _tokens(text: str):
+    """(kind, text, offset) per token, kind "number", "name" or "op" (one
+    character), then ("end", "", len(text)); produced one at a time."""
+    for m in _TOKEN.finditer(text):  # a token starts wherever the last ended
+        yield m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+    yield "end", "", len(text)
+
+
+def _decimal(kind: str, t: str, at: int) -> Fraction:
+    """The token as an exact decimal such as 2 or 2.5."""
+    if kind != "number" or not _DECIMAL(t):
+        raise LCSyntaxError("expected a number", at, ("number",))
+    try:
+        return Fraction(t)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise LCSyntaxError("number too long", at) from None
+
+
 # -- expression parser ---------------------------------------------------------
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise LCSyntaxError("unexpected input", self.pos, (ch,))
-        self.pos += 1
-
-    def number(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos == start or self.text[start] == ".":
-            raise LCSyntaxError("expected a number", start, ("number",))
-        return Fraction(self.text[start : self.pos])
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+#: How tightly each stacked operator binds; "(" and calls bind at 0, so only
+#: their ")" reduces them.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+#: Per binary operator token, the least binding it reduces before it is
+#: stacked: + - * / are left-associative, ^ right-associative.
+_FLOOR = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 5}
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+#: A constant power that surely has more bits than this is refused: far past
+#: binary64, which constants become at evaluation, while what folds stays
+#: within the digits str() gives an int, which print_expr needs.
+_MAX_POWER_BITS = 1 << 13
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse an expression; raises LCSyntaxError with the byte offset."""
-    sc = _Scanner(text)
-    e = _parse_add(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise LCSyntaxError("trailing input", sc.pos, ("end of input",))
-    return e
+    """Parse an expression; raises LCSyntaxError with the offset.
 
+    One operator-precedence loop over two explicit stacks, so any depth
+    parses: operands on one, operators with their offsets on the other,
+    where unary minus, "(" and function calls are operators too.  Each
+    operator is reduced once its right operand is complete, so the smart
+    constructors see their arguments left to right.
+    """
+    args: list[Expr] = []
+    ops: list[tuple[str, int]] = []
 
-def _parse_add(sc: _Scanner) -> Expr:
-    e = _parse_mul(sc)
+    def reduce(floor: int) -> None:
+        while ops and _BINDS.get(ops[-1][0], 0) >= floor:
+            op, at = ops.pop()
+            b = args.pop()
+            if op == "neg":
+                args.append(_neg(b))
+            elif op == "^":
+                args.append(_parsed_power(args.pop(), b, at))
+            else:
+                args.append(_BINARY[op](args.pop(), b))
+
+    tokens = _tokens(text)
+    kind, t, at = next(tokens)
     while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take()
-            e = _add(e, _parse_mul(sc))
-        elif ch == "-":
-            sc.take()
-            e = _sub(e, _parse_mul(sc))
+        # an operand is expected: prefix operators, then a number or a name
+        while t == "-" or t == "(":
+            ops.append(("neg" if t == "-" else "(", at))
+            kind, t, at = next(tokens)
+        if kind == "number":
+            args.append(RationalConst(_decimal(kind, t, at)))
+            kind, t, at = next(tokens)
+        elif kind == "name" and (t[0].isalpha() or t[0] == "_"):  # \w holds "²"
+            name = t
+            kind, t, at = next(tokens)
+            if t == "(":
+                if name not in FUNCTIONS:
+                    raise LCSyntaxError(f"unknown function {name!r}", at, FUNCTIONS)
+                ops.append((name, at))
+                kind, t, at = next(tokens)
+                continue
+            args.append(Variable(name))
         else:
-            return e
+            raise LCSyntaxError("unexpected input", at, ("number", "name", "(", "-"))
+        # an operator is expected: closing parentheses, then one binary
+        # operator or the end
+        while t == ")":
+            reduce(1)
+            if not ops:
+                raise LCSyntaxError("trailing input", at, ("end of input",))
+            op = ops.pop()[0]
+            if op != "(":
+                args.append(Apply(op, args.pop()))
+            kind, t, at = next(tokens)
+        if t in _FLOOR:
+            reduce(_FLOOR[t])
+            ops.append((t, at))
+            kind, t, at = next(tokens)
+            continue
+        reduce(1)
+        if ops:
+            raise LCSyntaxError("unexpected input", at, (")",))
+        if kind != "end":
+            raise LCSyntaxError("trailing input", at, ("end of input",))
+        return args[0]
 
 
-def _parse_mul(sc: _Scanner) -> Expr:
-    e = _parse_unary(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "*":
-            sc.take()
-            e = _mul(e, _parse_unary(sc))
-        elif ch == "/":
-            sc.take()
-            e = _div(e, _parse_unary(sc))
-        else:
-            return e
-
-
-def _parse_unary(sc: _Scanner) -> Expr:
-    # Every nesting level (parenthesis, call, unary minus, exponent) passes
-    # through here, so this is where the depth is bounded.
-    if sc.depth >= MAX_NESTING:
-        raise LCSyntaxError(
-            f"expression nested deeper than {MAX_NESTING} levels", sc.pos
-        )
-    sc.depth += 1
-    try:
-        if sc.peek() == "-":
-            sc.take()
-            return _neg(_parse_unary(sc))
-        return _parse_power(sc)
-    finally:
-        sc.depth -= 1
-
-
-def _parse_power(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
-    if sc.peek() != "^":
-        return base
-    op_pos = sc.pos
-    sc.take()
-    exponent = _parse_unary(sc)  # right-associative; unary allows -2, 2^3
-    if not isinstance(exponent, RationalConst) or exponent.value.denominator != 1:
-        raise LCSyntaxError("integer exponent required", op_pos, ("integer",))
-    return _pow(base, int(exponent.value))
-
-
-def _parse_atom(sc: _Scanner) -> Expr:
-    ch = sc.peek()
-    if ch == "(":
-        sc.take()
-        e = _parse_add(sc)
-        sc.expect(")")
-        return e
-    if ch.isdigit() or ch == ".":
-        return RationalConst(sc.number())
-    if ch.isalpha() or ch == "_":
-        name = sc.name()
-        if sc.peek() == "(":
-            if name not in FUNCTIONS:
-                raise LCSyntaxError(
-                    f"unknown function {name!r}", sc.pos, FUNCTIONS
-                )
-            sc.take()
-            arg = _parse_add(sc)
-            sc.expect(")")
-            return Apply(name, arg)
-        return Variable(name)
-    raise LCSyntaxError(
-        "unexpected input", sc.pos, ("number", "name", "(", "-")
-    )
+def _parsed_power(base: Expr, exponent: Expr, at: int) -> Expr:
+    """base ^ exponent as read: the exponent must fold to an integer, and a
+    constant power is folded unless it surely has over _MAX_POWER_BITS bits."""
+    if type(exponent) is not RationalConst or exponent.value.denominator != 1:
+        raise LCSyntaxError("integer exponent required", at, ("integer",))
+    n = exponent.value.numerator
+    if type(base) is RationalConst:
+        # (p/q)^n has over |n|(b - 1) bits, b the longer bit length of p and q
+        b = max(base.value.numerator.bit_length(), base.value.denominator.bit_length())
+        if abs(n) * (b - 1) > _MAX_POWER_BITS:
+            raise LCSyntaxError("constant power too large", at)
+    return _pow(base, n)
 
 
 def print_expr(e: Expr) -> str:
     """Render with minimal parentheses; parse_expr(print_expr(e)) is e.
 
-    Each distinct node renders once, after its operands, to its text and
-    how tightly it binds; a parent parenthesises an operand whose context
-    binds tighter.  An operand's text is dropped at its last use, so a deep
-    chain holds only the texts still to be joined.
+    Each distinct node renders once to its text and how tightly it binds;
+    a parent parenthesises an operand whose context binds tighter.
     """
-    nodes = list(_postorder(e))
-    uses = Counter(a for node in nodes for a in _operands(node))
-    out: dict[Expr, tuple[str, int]] = {}
+    return _fold(e, _print_node)[0]
 
-    def operand(a: Expr, context: int) -> str:
-        uses[a] -= 1
-        text, binds = out[a] if uses[a] else out.pop(a)
-        return f"({text})" if context > binds else text
 
-    for node in nodes:
-        kind = type(node)
-        if kind is RationalConst:
-            # negative or fractional constants reparse atomically only in
-            # parentheses ("1/2" would scan as a division)
-            v = node.value
-            out[node] = str(v), (0 if v < 0 or v.denominator != 1 else _ATOM)
-        elif kind is Variable:
-            out[node] = node.name, _ATOM
-        elif kind is Apply:
-            out[node] = f"{node.func}({operand(node.arg, 0)})", _ATOM
-        elif kind is IntPow:
-            out[node] = f"{operand(node.base, _ATOM)}^{node.exponent}", _PREC[kind]
-        else:
-            prec = _PREC[kind]
-            left = operand(node.left, prec)
-            right = operand(node.right, prec + 1)  # left-associative
-            out[node] = f"{left} {_OP[kind]} {right}", prec
-    return out[e][0]
+def _print_node(node: Expr, take) -> tuple[str, int]:
+    kind = type(node)
+    if kind is RationalConst:
+        # negative or fractional constants reparse atomically only in
+        # parentheses ("1/2" would scan as a division)
+        v = node.value
+        return str(v), (0 if v < 0 or v.denominator != 1 else _ATOM)
+    if kind is Variable:
+        return node.name, _ATOM
+    if kind is Apply:
+        return f"{node.func}({_wrap(take(node.arg), 0)})", _ATOM
+    if kind is IntPow:
+        return f"{_wrap(take(node.base), _ATOM)}^{node.exponent}", _PREC[kind]
+    prec = _PREC[kind]
+    left = _wrap(take(node.left), prec)
+    right = _wrap(take(node.right), prec + 1)  # left-associative
+    return f"{left} {_OP[kind]} {right}", prec
+
+
+def _wrap(rendered: tuple[str, int], context: int) -> str:
+    text, binds = rendered
+    return f"({text})" if context > binds else text
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, IntPow: 4}
@@ -481,106 +475,64 @@ def parse_lc(text: str) -> LCNumber:
     denote truncated expansions); pure real literals, including ``0``, are
     exactly known and carry an infinite horizon.
     """
-    sc = _Scanner(text)
+    tokens = _tokens(text)
     terms: list[tuple[Fraction, float]] = []
+    kind, t, at = next(tokens)
     sign = 1.0
-    ch = sc.peek()
-    if ch in "+-":
-        sc.take()
-        sign = -1.0 if ch == "-" else 1.0
-    terms.append(_parse_lc_term(sc, sign))
     while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take()
-            terms.append(_parse_lc_term(sc, 1.0))
-        elif ch == "-":
-            sc.take()
-            terms.append(_parse_lc_term(sc, -1.0))
-        elif ch == "":
+        if t == "+" or t == "-":
+            sign = -1.0 if t == "-" else 1.0
+            kind, t, at = next(tokens)
+        coeff, exponent, start = 1.0, _ZERO, at
+        if kind == "number":  # a decimal, or a fraction such as 7/2
+            coeff = float(t)
+            kind, t, at = next(tokens)
+            if t == "/":
+                kind, t, at = next(tokens)
+                if kind != "number":
+                    raise LCSyntaxError("expected a coefficient", at, ("number",))
+                denominator = float(t)
+                if denominator == 0.0:
+                    raise LCSyntaxError("zero denominator", at)
+                coeff /= denominator
+                kind, t, at = next(tokens)
+            if not math.isfinite(coeff):
+                raise LCSyntaxError("coefficient out of binary64 range", start)
+        elif t != "d":
+            raise LCSyntaxError("expected a coefficient or 'd'", at, ("coeff", "d"))
+        if t == "d":
+            exponent = _ONE
+            kind, t, at = next(tokens)
+            if t == "^":
+                exponent, (kind, t, at) = _lc_exponent(tokens)
+        terms.append((exponent, sign * coeff))
+        if kind == "end":
             break
-        else:
-            raise LCSyntaxError("unexpected input", sc.pos, ("+", "-", "end"))
+        if t != "+" and t != "-":
+            raise LCSyntaxError("unexpected input", at, ("+", "-", "end"))
     if all(e == 0 for e, _ in terms):
         return LCNumber(terms)
     return LCNumber(terms, default_horizon())
 
 
-def _parse_lc_term(sc: _Scanner, sign: float) -> tuple[Fraction, float]:
-    ch = sc.peek()
-    coeff = 1.0
-    have_coeff = False
-    if ch.isdigit() or ch == ".":
-        coeff = _parse_lc_coeff(sc)
-        have_coeff = True
-        if sc.peek() == "/":  # fraction coefficient, e.g. 7/2
-            sc.take()
-            denom = _parse_lc_coeff(sc)
-            if denom == 0.0:
-                raise LCSyntaxError("zero denominator", sc.pos)
-            coeff /= denom
-        ch = sc.peek()
-    if ch == "d":
-        sc.take()
-        exponent = Fraction(1)
-        if sc.peek() == "^":
-            sc.take()
-            exponent = _parse_lc_exponent(sc)
-        return (exponent, sign * coeff)
-    if not have_coeff:
-        raise LCSyntaxError("expected a coefficient or 'd'", sc.pos, ("coeff", "d"))
-    return (Fraction(0), sign * coeff)
-
-
-def _parse_lc_coeff(sc: _Scanner) -> float:
-    sc.skip_ws()
-    start = sc.pos
-    text = sc.text
-    while sc.pos < len(text) and text[sc.pos].isdigit():
-        sc.pos += 1
-    if sc.pos < len(text) and text[sc.pos] == ".":
-        sc.pos += 1
-        while sc.pos < len(text) and text[sc.pos].isdigit():
-            sc.pos += 1
-    # Scientific notation: superset of the plain-decimal grammar so that
-    # printed binary64 coefficients round-trip.
-    if sc.pos < len(text) and text[sc.pos] in "eE":
-        mark = sc.pos
-        sc.pos += 1
-        if sc.pos < len(text) and text[sc.pos] in "+-":
-            sc.pos += 1
-        if sc.pos < len(text) and text[sc.pos].isdigit():
-            while sc.pos < len(text) and text[sc.pos].isdigit():
-                sc.pos += 1
-        else:
-            sc.pos = mark
-    if sc.pos == start:
-        raise LCSyntaxError("expected a coefficient", start, ("number",))
-    return float(text[start : sc.pos])
-
-
-def _parse_lc_exponent(sc: _Scanner) -> Fraction:
-    ch = sc.peek()
-    if ch == "(":
-        sc.take()
-        neg = False
-        if sc.peek() == "-":
-            sc.take()
-            neg = True
-        num = sc.number()
-        sc.expect("/")
-        den = sc.number()
-        sc.expect(")")
-        if den == 0:
-            raise LCSyntaxError("zero exponent denominator", sc.pos)
-        value = Fraction(num, 1) / den
-        return -value if neg else value
-    neg = False
-    if ch == "-":
-        sc.take()
-        neg = True
-    value = sc.number()  # integer or decimal, exact
-    return -value if neg else value
+def _lc_exponent(tokens) -> tuple[Fraction, tuple]:
+    """The exponent after ``d^``, read against its pattern, and the token
+    after it; each n is a decimal spelt as in parse_expr."""
+    kind, t, at = next(tokens)
+    sign, parts = 1, []
+    for want in ("(", "-?", "n", "/", "n", ")") if t == "(" else ("-?", "n"):
+        if want == "n":
+            parts.append(_decimal(kind, t, at))
+        elif want == "-?":
+            if t != "-":
+                continue
+            sign = -1
+        elif t != want:
+            raise LCSyntaxError("unexpected input", at, (want,))
+        kind, t, at = next(tokens)
+    if parts[1:] == [0]:
+        raise LCSyntaxError("zero exponent denominator", at)
+    return sign * Fraction(*parts), (kind, t, at)
 
 
 # -- evaluation ----------------------------------------------------------------

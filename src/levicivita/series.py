@@ -146,15 +146,21 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
         if j:
             power = power * delta
         term = a * power
-        if term and term.valuation() < acc.horizon:
+        # a term that shows nothing still lowers the sum's horizon to its own
+        if _least(term) < acc.horizon:
             acc = acc + term
-        elif delta.valuation() >= 0 and power.valuation() + min(
-            (b.valuation() for b in coeffs[j + 1 :]), default=INF
+        elif delta.valuation() >= 0 and _least(power) + min(
+            (_least(b) for b in coeffs[j + 1 :]), default=INF
         ) >= acc.horizon:
             # With lambda(delta) >= 0 the valuations of the powers only rise
             # and the horizon of acc only falls, so no later term is visible.
             break
     return acc
+
+
+def _least(x: LCNumber) -> Valuation:
+    """The least exponent x can hold: its first term's, else its horizon."""
+    return min(x.valuation(), x.horizon)
 
 
 def differentiate_termwise(s: PowerSeries, j: int) -> PowerSeries:

@@ -253,12 +253,26 @@ def test_eval_product_overflow_exit_3(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_deep_nesting_exit_3(capsys):
+def test_deep_parentheses_exit_0(capsys):
     text = "(" * 600 + "x" + ")" * 600
-    code, _, err = run(capsys, "eval", text, "--at", "x=1")
+    code, out, err = run(capsys, "eval", text, "--at", "x=1")
+    assert code == 0
+    assert out.strip() == "1"
+    assert err == ""
+
+
+def test_unclosed_parentheses_exit_3(capsys):
+    code, _, err = run(capsys, "eval", "(" * 600 + "x", "--at", "x=1")
     assert code == 3
     assert err.startswith("levicivita: error: LCSyntaxError")
-    assert "nested deeper" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_constant_power_tower_exit_3(capsys):
+    # 9^(9^9) would be a 1.2-gigabit constant
+    code, _, err = run(capsys, "eval", "9^9^9")
+    assert code == 3
+    assert err.startswith("levicivita: error: LCSyntaxError: constant power too large")
     assert len(err.strip().splitlines()) == 1
 
 

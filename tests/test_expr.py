@@ -5,10 +5,13 @@ import pickle
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levicivita import (
     Add,
@@ -119,11 +122,105 @@ def test_print_long_flat_sum():
 
 
 def test_print_deep_right_nested_difference():
-    # deeper than parse_expr's nesting limit, so built node by node
     e = X
     for _ in range(3000):
         e = Sub(X, e)
     assert print_expr(e) == "x - (" * 2999 + "x - x" + ")" * 2999
+    assert parse_expr(print_expr(e)) is e
+
+
+def test_parse_deep_parentheses_and_calls():
+    # 100000 levels: the parser keeps explicit stacks, not Python frames
+    assert parse_expr("(" * 100000 + "x" + ")" * 100000) is X
+    e = X
+    for _ in range(100000):
+        e = Apply("sin", e)
+    assert parse_expr(print_expr(e)) is e
+
+
+def test_constant_power_towers_are_refused_fast():
+    # 9^(9^9) has 1.2e9 bits and 2^(2^65536) has 2^65536 + 1
+    for text, offset in [("9^9^9", 1), ("2^2^2^2^2^2", 3), ("x + 3^9000", 5)]:
+        start = time.perf_counter()
+        with pytest.raises(LCSyntaxError, match="constant power too large") as err:
+            parse_expr(text)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.offset == offset
+    # powers of 0 and 1 stay small at any exponent
+    assert parse_expr("1^1000000 + 0^1000000") == RationalConst(F(1))
+    assert parse_expr("3^5000 / 3^4999") == RationalConst(F(3))
+
+
+def test_every_rejection_is_a_syntax_error():
+    for parse, text in [
+        (parse_expr, "1" * 5000),  # past int()'s digit limit
+        (parse_expr, "1e3"),  # expression constants have no exponent part
+        (parse_expr, ".5"),
+        (parse_expr, "\u00b2"),  # a digit, but not a decimal one
+        (parse_lc, "1/E5"),
+        (parse_lc, "."),
+        (parse_lc, "1e999"),  # past binary64
+        (parse_lc, "1e300/1e-300"),
+        (parse_lc, "d^1e3"),  # LC exponents are decimals
+    ]:
+        with pytest.raises(LCSyntaxError):
+            parse(text)
+
+
+_LEAVES = [X, Variable("y"), RationalConst(F(0)), RationalConst(F(2)),
+           RationalConst(F(-3, 4)), RationalConst(F(1, 2))]
+_STEPS = st.tuples(
+    st.sampled_from(["add", "radd", "sub", "rsub", "mul", "div", "rdiv",
+                     "pow", "neg", "call"]),
+    st.sampled_from(_LEAVES),
+    st.integers(-3, 3),
+    st.sampled_from(expr.FUNCTIONS),
+)
+
+
+def _grow(e, step):
+    """One node above e, built by the parser's constructors."""
+    op, leaf, n, func = step
+    if op == "pow":
+        # a constant is raised only as a leaf, so constants stay small
+        return expr._pow(leaf if type(e) is RationalConst else e, n)
+    if op == "neg":
+        return expr._neg(e)
+    if op == "call":
+        return Apply(func, e)
+    binary = {"add": expr._add, "sub": expr._sub, "mul": expr._mul, "div": expr._div}
+    if op.startswith("r"):
+        return binary[op[1:]](leaf, e)
+    return binary[op](e, expr._pow(leaf, n) if n > 1 else leaf)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_STEPS, min_size=1, max_size=12), st.integers(1, 300))
+def test_print_parse_round_trip_of_built_trees(steps, repeat):
+    # up to 3600 levels: each step list is applied repeat times over
+    e = X
+    for _ in range(repeat):
+        for step in steps:
+            e = _grow(e, step)
+    assert parse_expr(print_expr(e)) is e
+
+
+_EXPR_ALPHABET = "0123456789.eEdxy_+-*/^() \tsincoexplqrtab"
+_TOKENS = ["1", "2.5", ".5", "E5", "e-3", "/", "d", "^", "(", ")", "-", "+",
+           "*", ".", "x", "sin", " ", "0", "9", "^9"]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(
+    st.text(_EXPR_ALPHABET, max_size=24),
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+))
+def test_any_text_parses_or_raises_a_syntax_error(text):
+    for parse in (parse_expr, parse_lc):
+        try:
+            parse(text)
+        except LCSyntaxError:
+            pass
 
 
 def test_variables():
@@ -245,6 +342,26 @@ def test_pickle_of_a_deep_expression_is_the_node():
     data = pickle.dumps(parse_expr("sin(pickled)^-2 + pickled/(1/2)"))
     gc.collect()  # that expression is gone, so loading builds it afresh
     assert print_expr(pickle.loads(data)) == "sin(pickled)^-2 + pickled / (1/2)"
+
+
+def test_repr_of_small_trees_shows_every_field():
+    for text, shown in [
+        ("x^2 + sin(x)", "Add(left=IntPow(base=Variable(name='x'), exponent=2), "
+                         "right=Apply(func='sin', arg=Variable(name='x')))"),
+        ("1/(1-x)", "Div(left=RationalConst(value=Fraction(1, 1)), right=Sub("
+                    "left=RationalConst(value=Fraction(1, 1)), right=Variable(name='x')))"),
+        ("0^-1 - y/(1/2)", "Sub(left=IntPow(base=RationalConst(value=Fraction(0, 1)), "
+                           "exponent=-1), right=Div(left=Variable(name='y'), "
+                           "right=RationalConst(value=Fraction(1, 2))))"),
+    ]:
+        assert repr(parse_expr(text)) == shown
+
+
+def test_repr_of_a_deep_expression():
+    # 3000 operators deep: far past the interpreter's recursion limit
+    shown = repr(parse_expr("x" + "+x" * 3000))
+    x = "Variable(name='x')"
+    assert shown == "Add(left=" * 3000 + x + f", right={x})" * 3000
 
 
 def _operands(node) -> tuple:

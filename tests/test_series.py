@@ -459,9 +459,7 @@ def _ref_taylor_sum(coeffs, delta):
     for j, a in enumerate(coeffs):
         if j:
             power = power * delta
-        term = a * power
-        if term and term.valuation() < acc.horizon:
-            acc = acc + term
+        acc = acc + a * power
     return acc
 
 
@@ -484,6 +482,23 @@ def test_taylor_sum_equals_a_sum_of_every_term(coeffs, delta, h):
     coeffs = [LCNumber(t, h) for t in coeffs]
     delta = LCNumber(delta, h)
     assert _taylor_sum(coeffs, delta) == _ref_taylor_sum(coeffs, delta)
+
+
+def test_taylor_sum_keeps_the_horizon_of_a_term_that_shows_nothing():
+    # a_1 has no visible term but horizon 5, so a_1 * d is known only below d^6
+    unknown = LCNumber([], 5)
+    assert _taylor_sum([ONE, unknown], D) == ONE + unknown * D
+    assert _taylor_sum([ONE, unknown], D).horizon == 6
+    s = PowerSeries(ZERO, (ONE, unknown, ONE))
+    assert sum_at(s, D) == LCNumber([(0, 1.0), (2, 1.0)], 6)
+
+
+def test_taylor_sum_reads_an_empty_step_by_its_horizon():
+    # delta shows nothing below d^5: its powers bound later terms by their
+    # horizons, and d^-10 * delta^2 is known only below d^0, so the sum is
+    # known nowhere at or above d^0, not even its leading 1
+    coeffs = [ONE, LCNumber([]), monomial(-10)]
+    assert _taylor_sum(coeffs, LCNumber([], 5)) == LCNumber([], 0)
 
 
 def test_taylor_sum_with_falling_valuations_sums_past_an_invisible_term():
