@@ -210,7 +210,8 @@ class _Jet:
             for q, r in row:
                 bq = b[q]
                 if bq or bq.horizon != INF:
-                    out[r] = out[r] + a * bq
+                    s = out[r]
+                    out[r] = s + a.__mul__(bq, s.horizon)
         return _Jet(self.layout, out)
 
     def __pow__(self, n: int) -> "_Jet":
@@ -225,7 +226,7 @@ class _Jet:
             for p, q in row:
                 ap, bq = a[p], b[q]
                 if (ap or ap.horizon != INF) and (bq or bq.horizon != INF):
-                    s = s + ap * bq
+                    s = s + ap.__mul__(bq, s.horizon)
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
 
@@ -329,7 +330,8 @@ def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> L
     result = None
     for entry in plan:
         term = table[entry] if last else _horner(table, entry, v, i + 1)
-        result = term if result is None else result * v[i] + term
+        # the sum keeps nothing of the product at or past term's horizon
+        result = term if result is None else term + result.__mul__(v[i], term.horizon)
     return result
 
 
@@ -365,13 +367,17 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     return _horner(pj.table, _horner_plan(pj.n, k), _direction(pj, v))
 
 
-def _graded_parts(pj: PartialJet, vec: list[LCNumber], lo: int, hi: int) -> dict:
+def _graded_parts(
+    pj: PartialJet, vec: list[LCNumber], lo: int, hi: int, cap=INF
+) -> dict:
     """{j: H_j} for lo <= j <= hi, H_j = sum(table[alpha] * v^alpha, |alpha| = j).
 
     Parts whose coefficients are all exact zeros are left out, and so are
     the monomials past the last other coefficient (a visible zero still
     bounds the horizon).  Each monomial v^alpha is one multiplication from
-    its parent's, and each part is summed left to right.
+    its parent's, and each part is summed left to right.  With a horizon
+    ``cap``, each part is H_j truncated there, for a caller whose sum keeps
+    nothing at or past it; the monomials stay exact.
     """
     layout = _layout(pj.n, pj.order)
     # the graded indices of degree <= d are the first comb(n + d, n)
@@ -392,7 +398,7 @@ def _graded_parts(pj: PartialJet, vec: list[LCNumber], lo: int, hi: int) -> dict
         part = None
         for p in range(start, stop):
             if coeffs[p] or coeffs[p].horizon != INF:
-                term = coeffs[p] * mono[p]
+                term = coeffs[p].__mul__(mono[p], cap)
                 part = term if part is None else part + term
         if part is not None:
             parts[j] = part
@@ -415,7 +421,7 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     sums = [total]
     if len(ks) == 1:
         return sums
-    parts = _graded_parts(pj, vec, ks[0] + 1, top)
+    parts = _graded_parts(pj, vec, ks[0] + 1, top, total.horizon)
     for below, k in zip(ks, ks[1:]):
         for j in range(below + 1, k + 1):
             if j in parts:

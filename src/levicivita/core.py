@@ -20,6 +20,12 @@ Horizon algebra:
                 factor has no visible terms)
     h(inv(x)) = h(x) - 2*lambda(x)
 
+A product whose terms at or past some exponent c are discarded at once
+(added to a sum of horizon c, or truncated there) is taken capped:
+``x.__mul__(y, c)`` equals ``(x * y).truncate(c)``, with horizon
+min(h(x * y), c), but never forms the terms at or past c.  Each kept
+coefficient is the same sum of the same products, so capping moves no bit.
+
 Values built from parsed literals get the configurable default horizon
 (exponent 32 unless overridden); values built programmatically are exact
 (infinite horizon) unless a horizon is supplied.
@@ -140,13 +146,18 @@ def power(x, n: int, one, inv=methodcaller("inv")):
     domain with ``*``, its unit ``one`` and its reciprocal ``inv``."""
     if n < 0:
         x, n = inv(x), -n
-    result = one
+    if not n:
+        return one
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x  # the first factor, where one * x would be x again
+    n >>= 1
     while n:
+        x = x * x
         if n & 1:
             result = result * x
         n >>= 1
-        if n:
-            x = x * x
     return result
 
 
@@ -175,6 +186,12 @@ class LCNumber:
         for e, c in pairs:
             key = e.numerator * (den // e.denominator)
             acc[key] = acc.get(key, 0.0) + c
+        if len(acc) < len(pairs):  # terms of one exponent were summed
+            for key, c in acc.items():
+                if not math.isfinite(c):
+                    raise ValueError(
+                        f"non-finite coefficient {c!r} at exponent {Fraction(key, den)}"
+                    )
         bound = _ceil_bound(horizon, den)
         items = sorted(
             (e, c)
@@ -313,11 +330,18 @@ class LCNumber:
             return LCNumber.from_real(value)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, neg=False):
+        """self + other; with ``neg``, self - other in the same one merge."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self._iterms, other._iterms
         ha, hb = self.horizon, other.horizon
+        # an exact zero (no terms, infinite horizon) leaves the other operand
+        if not b and type(hb) is float:
+            return self
+        if not a and type(ha) is float:
+            return -other if neg else other
         if type(hb) is float:
             horizon = ha
         elif type(ha) is float:
@@ -327,12 +351,11 @@ class LCNumber:
         da, db = self._den, other._den
         if da == db:
             den = da
-            a, b = self._iterms, other._iterms
         else:
             den = da * db // math.gcd(da, db)
             fa, fb = den // da, den // db
-            a = [(e * fa, c) for e, c in self._iterms]
-            b = [(e * fb, c) for e, c in other._iterms]
+            a = [(e * fa, c) for e, c in a]
+            b = [(e * fb, c) for e, c in b]
         bound = _ceil_bound(horizon, den)
         out = []
         i = j = 0
@@ -340,7 +363,7 @@ class LCNumber:
         while i < na and j < nb:
             ea, eb = a[i][0], b[j][0]
             if ea == eb:
-                c = a[i][1] + b[j][1]
+                c = a[i][1] - b[j][1] if neg else a[i][1] + b[j][1]
                 if c != 0.0:
                     out.append((ea, c))
                 i += 1
@@ -349,12 +372,12 @@ class LCNumber:
                 out.append(a[i])
                 i += 1
             else:
-                out.append(b[j])
+                out.append((eb, -b[j][1]) if neg else b[j])
                 j += 1
         if i < na:
             out.extend(a[i:])
         if j < nb:
-            out.extend(b[j:])
+            out.extend([(e, -c) for e, c in b[j:]] if neg else b[j:])
         if bound is not None:
             out = [t for t in out if t[0] < bound]
         den, items = _canonical(den, out)
@@ -368,16 +391,13 @@ class LCNumber:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other.__add__(self, True)
 
     def _monomial_mul(self, coeff: float, num: int, den: int, horizon: Valuation):
         """self * coeff * d^(num/den), clipped at ``horizon``."""
@@ -389,13 +409,17 @@ class LCNumber:
         out = []
         for e, c in self._iterms:
             e2 = e * fa + off
+            if bound is not None and e2 >= bound:
+                break  # the terms are sorted
             c2 = c * coeff
-            if c2 != 0.0 and (bound is None or e2 < bound):
+            if c2 != 0.0:
                 out.append((e2, c2))
         grid, items = _canonical(grid, out)
         return LCNumber._from_grid(grid, items, horizon)
 
-    def __mul__(self, other):
+    def __mul__(self, other, cap=INF):
+        """self * other; with a horizon ``cap``, (self * other).truncate(cap),
+        without forming the terms at or past ``cap``."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -407,7 +431,7 @@ class LCNumber:
             # visible zero up to h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)).
             la = ha if not a else self.valuation()
             lb = hb if not b else other.valuation()
-            horizon = min(ha + lb, hb + la)
+            horizon = min(ha + lb, hb + la, cap)
             return ZERO if horizon == INF else LCNumber._from_grid(1, (), horizon)
         da, db = self._den, other._den
         # h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)), on the grid;
@@ -418,6 +442,8 @@ class LCNumber:
             horizon = _shifted(ha, b[0][0], db)
         else:
             horizon = min(_shifted(ha, b[0][0], db), _shifted(hb, a[0][0], da))
+        if type(cap) is not float and cap < horizon:
+            horizon = cap
         if len(a) == 1:
             return other._monomial_mul(a[0][1], a[0][0], da, horizon)
         if len(b) == 1:
@@ -434,6 +460,8 @@ class LCNumber:
         get = acc.get
         for ea, ca in a:
             room = None if bound is None else bound - ea
+            if room is not None and b[0][0] >= room:
+                break  # a is sorted too; later rows lie past the horizon
             for eb, cb in b:
                 if room is not None and eb >= room:
                     break  # b is sorted; later exponents only larger
@@ -486,7 +514,7 @@ class LCNumber:
         power = neg_u
         while power._iterms:
             total = total + power
-            power = (power * neg_u).truncate(rel)
+            power = power.__mul__(neg_u, rel)
         return total._monomial_mul(1.0 / a, -self._iterms[0][0], self._den, target)
 
     def _unit_part(self, limit: Fraction) -> "LCNumber":
@@ -515,13 +543,46 @@ class LCNumber:
         ``EQUAL_AT_HORIZON`` means x - y has no visible terms; callers that
         need strict order must treat it as undecidable, not as equality.
         """
-        other = self._coerce(other)
-        if other is None:
+        y = self._coerce(other)
+        if y is None:
             raise TypeError(f"cannot compare LCNumber with {type(other).__name__}")
-        diff = self - other
-        if not diff._iterms:
+        # the sign of the first term of self + (-other) below both horizons,
+        # read off the two term lists without building the difference
+        a, b = self._iterms, y._iterms
+        da, db = self._den, y._den
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, den // db
+        ha, hb = self.horizon, y.horizon
+        horizon = hb if type(ha) is float else ha if type(hb) is float else min(ha, hb)
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            e, ca = a[i]
+            eb, cb = b[j]
+            e *= fa
+            eb *= fb
+            if e == eb:
+                c = ca - cb
+                if c == 0.0:
+                    i += 1
+                    j += 1
+                    continue
+            elif e < eb:
+                c = ca
+            else:
+                e, c = eb, -cb
+            break
+        else:  # the first difference, if any, is a term of one list alone
+            if i < na:
+                e, c = a[i][0] * fa, a[i][1]
+            elif j < nb:
+                e, c = b[j][0] * fb, -b[j][1]
+            else:
+                return Ordering.EQUAL_AT_HORIZON
+        bound = _ceil_bound(horizon, den)
+        if bound is not None and e >= bound:
             return Ordering.EQUAL_AT_HORIZON
-        return Ordering.GREATER if diff._iterms[0][1] > 0 else Ordering.LESS
+        return Ordering.GREATER if c > 0 else Ordering.LESS
 
     def __lt__(self, other):
         return self.compare(other) is Ordering.LESS

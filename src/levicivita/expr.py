@@ -30,7 +30,7 @@ from operator import index, methodcaller
 from typing import Callable, Mapping, Union
 
 from . import series
-from .core import LCNumber, default_horizon, power
+from .core import INF, LCNumber, default_horizon, power
 from .errors import (
     LCError,
     LCSyntaxError,
@@ -102,7 +102,7 @@ class _Node:
     def __repr__(self):
         def render(node, take):
             fields = (getattr(node, name) for name in node.__match_args__)
-            shown = (take(f) if isinstance(f, _Node) else repr(f) for f in fields)
+            shown = (take(f) if isinstance(f, _Node) else _field_repr(f) for f in fields)
             pairs = ", ".join(f"{n}={v}" for n, v in zip(node.__match_args__, shown))
             return f"{type(node).__name__}({pairs})"
 
@@ -442,7 +442,12 @@ def _print_node(node: Expr, take) -> tuple[str, int]:
         # negative or fractional constants reparse atomically only in
         # parentheses ("1/2" would scan as a division)
         v = node.value
-        return str(v), (0 if v < 0 or v.denominator != 1 else _ATOM)
+        if -_BIG < v.numerator < _BIG and v.denominator < _BIG:
+            return str(v), (0 if v < 0 or v.denominator != 1 else _ATOM)
+        text = _int_text(v.numerator)
+        if v.denominator != 1:
+            text = f"({text}) / ({_int_text(v.denominator)})"
+        return text, 0
     if kind is Variable:
         return node.name, _ATOM
     if kind is Apply:
@@ -458,6 +463,36 @@ def _print_node(node: Expr, take) -> tuple[str, int]:
 def _wrap(rendered: tuple[str, int], context: int) -> str:
     text, binds = rendered
     return f"({text})" if context > binds else text
+
+
+#: Integers from this on render as a Horner sum in base _BIG, whose
+#: literals have at most 4,001 digits: str() refuses an int of more digits
+#: than sys.get_int_max_str_digits() (4,300 by default), and the parser
+#: folds the constant sums and products back to the one integer.
+_BIG = 10**4000
+
+
+def _int_text(n: int) -> str:
+    """n as text: its decimal digits, or from _BIG on a Horner sum."""
+    if -_BIG < n < _BIG:
+        return str(n)
+    digits = []  # base-_BIG digits of |n|, least significant first
+    m = abs(n)
+    while m:
+        m, r = divmod(m, _BIG)
+        digits.append(str(r))
+    times = f"*{_BIG}"  # 4,001 digits
+    text = "(" * (len(digits) - 2) + digits.pop() + ")".join(
+        f"{times} + {d}" for d in reversed(digits)
+    )
+    return f"-({text})" if n < 0 else text
+
+
+def _field_repr(value) -> str:
+    """repr(value), with a Fraction's integers written as _int_text does."""
+    if type(value) is Fraction:
+        return f"Fraction({_int_text(value.numerator)}, {_int_text(value.denominator)})"
+    return repr(value)
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, IntPow: 4}
@@ -510,9 +545,11 @@ def parse_lc(text: str) -> LCNumber:
             break
         if t != "+" and t != "-":
             raise LCSyntaxError("unexpected input", at, ("+", "-", "end"))
-    if all(e == 0 for e, _ in terms):
-        return LCNumber(terms)
-    return LCNumber(terms, default_horizon())
+    exact = all(e == 0 for e, _ in terms)
+    try:
+        return LCNumber(terms, INF if exact else default_horizon())
+    except ValueError:  # terms of one exponent sum past binary64
+        raise LCSyntaxError("coefficient out of binary64 range", 0) from None
 
 
 def _lc_exponent(tokens) -> tuple[Fraction, tuple]:

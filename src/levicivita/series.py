@@ -145,7 +145,7 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
     for j, a in enumerate(coeffs):
         if j:
             power = power * delta
-        term = a * power
+        term = a.__mul__(power, acc.horizon)
         # a term that shows nothing still lowers the sum's horizon to its own
         if _least(term) < acc.horizon:
             acc = acc + term
@@ -231,7 +231,7 @@ def steps(u: LCNumber, ratio, limit: Valuation):
     term = ONE
     j = 1
     while True:
-        term = (term * u).truncate(limit)
+        term = term.__mul__(u, limit)
         if ratio is not None:
             term = term * ratio(j)
         if not term:

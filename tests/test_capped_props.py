@@ -1,0 +1,160 @@
+"""Property tests for the arithmetic that skips discarded work.
+
+``x.__mul__(y, cap)`` must be ``(x * y).truncate(cap)``, the one-pass
+subtraction must be ``x + (-y)``, ``compare`` must read the sign of the
+leading term of ``x + (-y)``, and ``core.power`` must equal the
+square-and-multiply loop that starts from the unit.  Each is compared bit
+for bit: the grid, the coefficients' binary64 bits and the horizon with its
+type.  Coefficients include values that round and values whose products
+underflow, exponents sit on unequal grids, and numbers may be empty with a
+finite horizon.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levicivita import INF, LCNumber, ONE, Ordering
+from levicivita.calculus import _Jet, _layout
+from levicivita.core import power
+from levicivita.expr import _float_inv
+
+#: Run times on a shared machine vary too much for a per-example deadline.
+props = settings(deadline=None, max_examples=300)
+
+exponents = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 7])
+)
+coefficients = st.one_of(
+    st.integers(-8, 8).filter(bool).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False).filter(bool),
+    st.sampled_from([1 / 3, -0.1, 2.0**-1074, -3e-320, 1e-200, -1e150]),
+)
+finite_horizons = st.builds(
+    Fraction, st.integers(-30, 40), st.sampled_from([1, 2, 3, 5, 12])
+)
+horizons = st.one_of(st.just(INF), finite_horizons)
+
+
+@st.composite
+def numbers(draw, horizon=horizons, max_terms=5):
+    terms = draw(
+        st.lists(st.tuples(exponents, coefficients), max_size=max_terms)
+    )
+    return LCNumber(terms, draw(horizon))
+
+
+def bits(x: LCNumber) -> tuple:
+    """Everything a number holds, with each coefficient's exact bits."""
+    return (
+        x._den,
+        tuple((e, c.hex()) for e, c in x._iterms),
+        x.horizon,
+        type(x.horizon),
+    )
+
+
+@props
+@given(numbers(), numbers(), horizons)
+def test_capped_product_is_the_truncated_product(x, y, cap):
+    assert bits(x.__mul__(y, cap)) == bits((x * y).truncate(cap))
+
+
+@props
+@given(numbers(), numbers())
+def test_uncapped_product_is_the_product(x, y):
+    assert bits(x.__mul__(y, INF)) == bits(x * y)
+
+
+@props
+@given(numbers(), st.one_of(numbers(), coefficients))
+def test_subtraction_is_adding_the_negation(x, y):
+    assert bits(x - y) == bits(x + (-LCNumber._coerce(y)))
+
+
+@props
+@given(st.one_of(numbers(), coefficients), numbers())
+def test_reflected_subtraction_is_adding_the_negation(x, y):
+    want = bits(LCNumber._coerce(x) + (-y))
+    assert bits(y.__rsub__(x)) == want
+    assert bits(x - y) == want
+
+
+@props
+@given(numbers(), st.one_of(numbers(), coefficients))
+def test_compare_is_the_sign_of_the_leading_difference(x, y):
+    diff = x + (-LCNumber._coerce(y))
+    if not diff:
+        want = Ordering.EQUAL_AT_HORIZON
+    else:
+        want = Ordering.GREATER if diff._iterms[0][1] > 0 else Ordering.LESS
+    assert x.compare(y) is want
+
+
+def unit_started_power(x, n, one, inv):
+    """The square-and-multiply loop whose first product is one * x."""
+    if n < 0:
+        x, n = inv(x), -n
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def outcome(fn):
+    try:
+        return "value", fn()
+    except ArithmeticError as exc:
+        return "raised", type(exc)
+
+
+@props
+@given(numbers(max_terms=3), st.integers(0, 9))
+def test_power_of_lc_numbers(x, n):
+    want = unit_started_power(x, n, ONE, LCNumber.inv)
+    assert bits(power(x, n, ONE)) == bits(want)
+
+
+@props
+@given(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 2.0**-1074, 1e200, -1e-200]),
+    st.integers(-40, 40),
+)
+def test_power_of_floats(x, n):
+    def hexed(result):
+        kind, value = result
+        return kind, value.hex() if kind == "value" else value
+
+    got = outcome(lambda: power(x, n, 1.0, _float_inv))
+    want = outcome(lambda: unit_started_power(x, n, 1.0, _float_inv))
+    assert hexed(got) == hexed(want)
+
+
+@props
+@given(
+    st.sampled_from([(1, 3), (2, 2), (3, 1)]).flatmap(
+        lambda nk: st.tuples(
+            st.just(nk),
+            st.lists(
+                numbers(max_terms=2),
+                min_size=len(_layout(*nk).indices),
+                max_size=len(_layout(*nk).indices),
+            ),
+        )
+    ),
+    st.integers(0, 5),
+)
+def test_power_of_jets(shape_coeffs, n):
+    (nvars, k), coeffs = shape_coeffs
+    layout = _layout(nvars, k)
+    jet = _Jet(layout, coeffs)
+    unit = _Jet.constant(ONE, layout)
+    got = power(jet, n, unit)
+    want = unit_started_power(jet, n, unit, _Jet.inv)
+    assert [bits(c) for c in got.c] == [bits(c) for c in want.c]

@@ -246,6 +246,13 @@ def test_eval_overflow_exit_3(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_literal_terms_summing_past_binary64_exit_3(capsys):
+    code, _, err = run(capsys, "eval", "x", "--at", "x=1e308 + 1e308")
+    assert code == 3
+    assert err.startswith("levicivita: error: LCSyntaxError: coefficient out of binary64")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_eval_product_overflow_exit_3(capsys):
     code, _, err = run(capsys, "eval", "x*x", "--at", "x=1e200")
     assert code == 3

@@ -62,6 +62,9 @@ def test_exponents_stay_exact_rationals():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
         lc((F(0), math.inf))
+    # finite terms of one exponent whose sum is not
+    with pytest.raises(ValueError, match="non-finite coefficient inf at exponent 1/2"):
+        lc((F(1, 2), 1e308), (F(0), 1.0), (F(1, 2), 1e308))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
@@ -225,6 +228,11 @@ def test_compare_equal_at_horizon():
     a = lc((F(0), 1.0), (F(5), 1.0))
     b = lc((F(0), 1.0), horizon=F(4))
     assert compare(a, b) is Ordering.EQUAL_AT_HORIZON
+
+
+def test_compare_names_the_type_it_cannot_compare():
+    with pytest.raises(TypeError, match="with str"):
+        compare(D, "1")
 
 
 def test_abs_examples():

@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -119,6 +120,19 @@ def test_print_long_flat_sum():
     e = parse_expr("x" + "+x" * 3000)
     assert print_expr(e) == "x" + " + x" * 3000
     assert parse_expr(print_expr(e)) is e
+
+
+def test_print_constants_past_the_int_to_str_limit():
+    # 6,000 digits, where str() of an int stops at 4,300 by default
+    e = parse_expr("9" * 3000 + "*" + "9" * 3000 + "*x")
+    text = print_expr(e)
+    assert parse_expr(text) is e
+    assert max(len(digits) for digits in re.findall(r"\d+", text)) <= 4001
+    assert repr(e).startswith("Mul(left=RationalConst(value=Fraction(")
+    for value in (F(-10**9000 + 7, 3), F(5, 10**8000 + 1), F(10**4000), F(-10**12001)):
+        c = RationalConst(value)
+        assert parse_expr(print_expr(c)) is c
+        assert parse_expr(print_expr(Mul(c, X))) is Mul(c, X)
 
 
 def test_print_deep_right_nested_difference():
@@ -462,7 +476,8 @@ def test_parse_lc_leading_sign():
 
 
 def test_parse_lc_errors():
-    for bad in ("", "d^", "2 +", "1//2", "q"):
+    # the last two sum terms of one exponent past binary64
+    for bad in ("", "d^", "2 +", "1//2", "q", "1e308 + 1e308", "d - 1e308d^(1/2) - 1e308d^(1/2)"):
         with pytest.raises(LCSyntaxError):
             parse_lc(bad)
 
