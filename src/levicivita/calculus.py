@@ -205,11 +205,11 @@ class _Jet:
         out = [ZERO] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
-            if not a and a.horizon == INF:
+            if not a and a._h is None:
                 continue
             for q, r in row:
                 bq = b[q]
-                if bq or bq.horizon != INF:
+                if bq or bq._h is not None:
                     s = out[r]
                     out[r] = s + a.__mul__(bq, s.horizon)
         return _Jet(self.layout, out)
@@ -225,7 +225,7 @@ class _Jet:
             s = ZERO
             for p, q in row:
                 ap, bq = a[p], b[q]
-                if (ap or ap.horizon != INF) and (bq or bq.horizon != INF):
+                if (ap or ap._h is not None) and (bq or bq._h is not None):
                     s = s + ap.__mul__(bq, s.horizon)
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
@@ -383,7 +383,7 @@ def _graded_parts(
     # the graded indices of degree <= d are the first comb(n + d, n)
     end = math.comb(pj.n + hi, pj.n)
     coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
-    while end > 1 and not coeffs[end - 1] and coeffs[end - 1].horizon == INF:
+    while end > 1 and not coeffs[end - 1] and coeffs[end - 1]._h is None:
         end -= 1
     start = math.comb(pj.n + lo - 1, pj.n)
     if end <= start:
@@ -397,7 +397,7 @@ def _graded_parts(
         stop = min(end, math.comb(pj.n + j, pj.n))
         part = None
         for p in range(start, stop):
-            if coeffs[p] or coeffs[p].horizon != INF:
+            if coeffs[p] or coeffs[p]._h is not None:
                 term = coeffs[p].__mul__(mono[p], cap)
                 part = term if part is None else part + term
         if part is not None:

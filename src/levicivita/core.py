@@ -30,13 +30,15 @@ Values built from parsed literals get the configurable default horizon
 (exponent 32 unless overridden); values built programmatically are exact
 (infinite horizon) unless a horizon is supplied.
 
-Internally the term list lives on a common-denominator integer grid (one
-denominator per number, integer exponents), so the hot arithmetic paths are
-pure machine-int loops; the rational view is materialized on demand.  The
-horizon algebra stays on that grid too: a product of exactly-known factors
-does no horizon arithmetic, and a finite horizon costs one ``Fraction``.
-``LCNumber.terms`` builds a ``Fraction`` per term, so test emptiness with
-``bool(x)`` or ``x.is_zero``, never with ``x.terms``.
+Internally a number lives on one integer grid: a denominator ``_den``, the
+exponents as integers on it, and the horizon as an integer ``_h`` on it
+(``None`` when infinite), reduced so the grid is the coarsest that holds them
+all.  Sums, products, caps, comparisons and truncations are pure machine-int
+loops; a ``Fraction`` cap is put onto the product grid once.  The rational
+view is built only at the API edge: ``horizon`` builds one ``Fraction`` on
+first read and keeps it, ``valuation()`` builds one per call and ``terms``
+one per term.  So test emptiness with ``bool(x)`` or ``x.is_zero``, never
+with ``x.terms``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ Scalar = Union[int, float, Fraction]
 #: Valuations and horizons: an exact rational, or +/-inf (floats only there).
 Valuation = Union[Fraction, float]
 
-# A horizon is a Fraction or inf, so the hot paths test for inf with
-# ``type(h) is float``: ``h == INF`` on a Fraction runs Fraction.__eq__.
 INF = math.inf
 
 # Each thread and asyncio task sees its own default horizon; a new thread
@@ -108,37 +108,37 @@ def _as_exponent(e) -> Fraction:
     raise TypeError(f"exponent must be int or Fraction, got {type(e).__name__}")
 
 
-def _as_horizon(horizon) -> Valuation:
-    """Normalize a horizon argument to a Fraction or the float INF."""
-    return INF if horizon == INF else Fraction(horizon)
+def _horizon_pair(horizon):
+    """(numerator, denominator) of a finite horizon argument; None for inf."""
+    if not isinstance(horizon, (int, Fraction)):
+        if horizon == INF:
+            return None
+        horizon = Fraction(horizon)
+    return horizon.numerator, horizon.denominator
 
 
-def _ceil_bound(horizon: Valuation, den: int):
-    """Integer b with (e < horizon*den) == (e < b) for integers e; None if inf."""
-    if type(horizon) is float:
-        return None
-    return -((-horizon.numerator * den) // horizon.denominator)
+def _on_grid(num: int, qd: int, den: int) -> tuple[int, int]:
+    """(grid, n): grid the least multiple of den that holds num/qd, and
+    num/qd == n/grid."""
+    grid = den if den % qd == 0 else den * qd // math.gcd(den, qd)
+    return grid, num * (grid // qd)
 
 
-def _shifted(horizon: Fraction, num: int, den: int) -> Fraction:
-    """The finite horizon plus num/den, built as a single Fraction."""
-    hd = horizon.denominator
-    return Fraction(horizon.numerator * den + num * hd, hd * den)
+def _canonical(den: int, h, items) -> tuple:
+    """(den, h, items) reduced so gcd(den, h, all exponents) == 1.
 
-
-def _canonical(den: int, items):
-    """Reduce grid so gcd(den, all exponents) == 1; items sorted, zero-free."""
-    if not items:
-        return 1, ()
-    g = den
+    ``h`` is the horizon on the grid, or None when infinite; items are
+    sorted, zero-free and below h.
+    """
+    g = den if h is None else math.gcd(den, h)
     for e, _ in items:
-        g = math.gcd(g, e)
         if g == 1:
-            return den, tuple(items)
-    if g > 1:
-        den //= g
-        items = tuple((e // g, c) for e, c in items)
-    return den, tuple(items)
+            break
+        g = math.gcd(g, e)
+    if g == 1:
+        return den, h, tuple(items)
+    h = None if h is None else h // g
+    return den // g, h, tuple([(e // g, c) for e, c in items])
 
 
 def power(x, n: int, one, inv=methodcaller("inv")):
@@ -169,11 +169,11 @@ class LCNumber:
     with int/float/Fraction treats the scalar as exactly known.
     """
 
-    __slots__ = ("_den", "_iterms", "horizon", "_view")
+    __slots__ = ("_den", "_iterms", "_h", "_hq", "_view")
 
     def __init__(self, terms: Iterable[tuple] = (), horizon: Valuation = INF):
-        horizon = _as_horizon(horizon)
-        den = 1
+        hz = _horizon_pair(horizon)
+        den = 1 if hz is None else hz[1]
         pairs = []
         for e, c in terms:
             e = _as_exponent(e)
@@ -192,26 +192,26 @@ class LCNumber:
                     raise ValueError(
                         f"non-finite coefficient {c!r} at exponent {Fraction(key, den)}"
                     )
-        bound = _ceil_bound(horizon, den)
+        h = None if hz is None else hz[0] * (den // hz[1])
         items = sorted(
-            (e, c)
-            for e, c in acc.items()
-            if c != 0.0 and (bound is None or e < bound)
+            (e, c) for e, c in acc.items() if c != 0.0 and (h is None or e < h)
         )
-        den, items = _canonical(den, items)
+        den, h, items = _canonical(den, h, items)
         _set_den(self, den)
         _set_iterms(self, items)
-        _set_horizon(self, horizon)
+        _set_h(self, h)
+        _set_hq(self, None)
         _set_view(self, None)
 
     @classmethod
-    def _from_grid(cls, den: int, iterms: tuple, horizon: Valuation) -> "LCNumber":
-        # Raw constructor: iterms already canonical, sorted, zero-free,
-        # clipped below horizon.
+    def _from_grid(cls, den: int, h, iterms: tuple) -> "LCNumber":
+        # Raw constructor: (den, h, iterms) already canonical, iterms sorted,
+        # zero-free and below h.
         obj = object.__new__(cls)
         _set_den(obj, den)
         _set_iterms(obj, iterms)
-        _set_horizon(obj, horizon)
+        _set_h(obj, h)
+        _set_hq(obj, None)
         _set_view(obj, None)
         return obj
 
@@ -220,15 +220,34 @@ class LCNumber:
 
     @classmethod
     def from_real(cls, value: Scalar, horizon: Valuation = INF) -> "LCNumber":
-        horizon = _as_horizon(horizon)
         c = float(value)
         if not math.isfinite(c):
             raise ValueError(f"non-finite coefficient {c!r} at exponent 0")
-        if c == 0.0 or (horizon != INF and horizon <= 0):
-            return cls._from_grid(1, (), horizon)
-        return cls._from_grid(1, ((0, c),), horizon)
+        hz = None if horizon is INF else _horizon_pair(horizon)
+        if hz is None:
+            return cls._from_grid(1, None, ((0, c),) if c != 0.0 else ())
+        num, den = hz
+        if c == 0.0 or num <= 0:
+            return cls._from_grid(den, num, ())
+        return cls._from_grid(den, num, ((0, c),))
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def horizon(self) -> Valuation:
+        """The exponent from which nothing is known: a Fraction, or INF.
+
+        The first read of a finite horizon builds one ``Fraction`` and keeps
+        it; arithmetic reads the grid and never needs it.
+        """
+        h = self._h
+        if h is None:
+            return INF
+        hq = self._hq
+        if hq is None:
+            hq = Fraction(h, self._den)
+            _set_hq(self, hq)
+        return hq
 
     @property
     def terms(self) -> tuple:
@@ -276,7 +295,7 @@ class LCNumber:
 
         Exactly-known real: infinite horizon, and no term off exponent 0.
         """
-        if type(self.horizon) is not float:
+        if self._h is not None:
             return None
         items = self._iterms
         if not items:
@@ -296,29 +315,33 @@ class LCNumber:
 
     def infinitesimal_part(self) -> "LCNumber":
         """The sub-series with exponents > 0."""
-        items = tuple(t for t in self._iterms if t[0] > 0)
-        den, items = _canonical(self._den, items)
-        return LCNumber._from_grid(den, items, self.horizon)
+        items = self._iterms
+        if not items or items[0][0] > 0:
+            return self
+        return _number(self._den, self._h, [t for t in items if t[0] > 0])
 
     def truncate(self, horizon: Valuation) -> "LCNumber":
         """Restrict knowledge to ``min(self.horizon, horizon)``."""
-        horizon = _as_horizon(horizon)
-        h = min(self.horizon, horizon)
-        if h == self.horizon:
+        hz = _horizon_pair(horizon)
+        den, h = self._den, self._h
+        if hz is None or (h is not None and hz[0] * den >= h * hz[1]):
             return self
-        bound = _ceil_bound(h, self._den)
-        items = tuple(t for t in self._iterms if t[0] < bound)
-        den, items = _canonical(self._den, items)
-        return LCNumber._from_grid(den, items, h)
+        grid, h = _on_grid(hz[0], hz[1], den)
+        m = grid // den
+        items = [t for t in self._iterms if t[0] * m < h]
+        if m > 1:
+            items = [(e * m, c) for e, c in items]
+        return _number(grid, h, items)
 
     def max_abs_coefficient(self) -> float:
         return max((abs(c) for _, c in self._iterms), default=0.0)
 
     def without_small(self, tol: float) -> "LCNumber":
         """The sub-series of terms with ``abs(coefficient) > tol``."""
-        items = tuple(t for t in self._iterms if abs(t[1]) > tol)
-        den, items = _canonical(self._den, items)
-        return LCNumber._from_grid(den, items, self.horizon)
+        items = [t for t in self._iterms if abs(t[1]) > tol]
+        if len(items) == len(self._iterms):
+            return self
+        return _number(self._den, self._h, items)
 
     # -- ring operations ---------------------------------------------------
 
@@ -336,27 +359,26 @@ class LCNumber:
         if other is None:
             return NotImplemented
         a, b = self._iterms, other._iterms
-        ha, hb = self.horizon, other.horizon
+        ha, hb = self._h, other._h
         # an exact zero (no terms, infinite horizon) leaves the other operand
-        if not b and type(hb) is float:
+        if not b and hb is None:
             return self
-        if not a and type(ha) is float:
+        if not a and ha is None:
             return -other if neg else other
-        if type(hb) is float:
-            horizon = ha
-        elif type(ha) is float:
-            horizon = hb
-        else:
-            horizon = min(ha, hb)
-        da, db = self._den, other._den
-        if da == db:
-            den = da
-        else:
-            den = da * db // math.gcd(da, db)
-            fa, fb = den // da, den // db
-            a = [(e * fa, c) for e, c in a]
-            b = [(e * fb, c) for e, c in b]
-        bound = _ceil_bound(horizon, den)
+        den, db = self._den, other._den
+        if den != db:
+            grid = den * db // math.gcd(den, db)
+            fa, fb = grid // den, grid // db
+            den = grid
+            if fa > 1:
+                a = [(e * fa, c) for e, c in a]
+                if ha is not None:
+                    ha *= fa
+            if fb > 1:
+                b = [(e * fb, c) for e, c in b]
+                if hb is not None:
+                    hb *= fb
+        h = ha if hb is None else hb if ha is None or hb < ha else ha
         out = []
         i = j = 0
         na, nb = len(a), len(b)
@@ -378,16 +400,15 @@ class LCNumber:
             out.extend(a[i:])
         if j < nb:
             out.extend([(e, -c) for e, c in b[j:]] if neg else b[j:])
-        if bound is not None:
-            out = [t for t in out if t[0] < bound]
-        den, items = _canonical(den, out)
-        return LCNumber._from_grid(den, items, horizon)
+        if h is not None and out and out[-1][0] >= h:
+            out = [t for t in out if t[0] < h]
+        return _number(den, h, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         return LCNumber._from_grid(
-            self._den, tuple((e, -c) for e, c in self._iterms), self.horizon
+            self._den, self._h, tuple([(e, -c) for e, c in self._iterms])
         )
 
     def __sub__(self, other):
@@ -399,23 +420,19 @@ class LCNumber:
             return NotImplemented
         return other.__add__(self, True)
 
-    def _monomial_mul(self, coeff: float, num: int, den: int, horizon: Valuation):
-        """self * coeff * d^(num/den), clipped at ``horizon``."""
-        da = self._den
-        grid = da * den // math.gcd(da, den)
-        fa = grid // da
-        off = num * (grid // den)
-        bound = _ceil_bound(horizon, grid)
+    def _monomial_mul(self, coeff: float, off: int, grid: int, h):
+        """self * coeff * d^(off/grid), cut at the horizon h/grid (h None:
+        infinite).  grid is a multiple of self's denominator."""
+        fa = grid // self._den
         out = []
         for e, c in self._iterms:
-            e2 = e * fa + off
-            if bound is not None and e2 >= bound:
+            e = e * fa + off
+            if h is not None and e >= h:
                 break  # the terms are sorted
-            c2 = c * coeff
-            if c2 != 0.0:
-                out.append((e2, c2))
-        grid, items = _canonical(grid, out)
-        return LCNumber._from_grid(grid, items, horizon)
+            c *= coeff
+            if c != 0.0:
+                out.append((e, c))
+        return _number(grid, h, out)
 
     def __mul__(self, other, cap=INF):
         """self * other; with a horizon ``cap``, (self * other).truncate(cap),
@@ -424,42 +441,44 @@ class LCNumber:
         if other is None:
             return NotImplemented
         a, b = self._iterms, other._iterms
-        ha, hb = self.horizon, other.horizon
-        if not a or not b:
-            # A factor with no visible terms is zero only below its horizon,
-            # so its valuation is at least that horizon: the product is a
-            # visible zero up to h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)).
-            la = ha if not a else self.valuation()
-            lb = hb if not b else other.valuation()
-            horizon = min(ha + lb, hb + la, cap)
-            return ZERO if horizon == INF else LCNumber._from_grid(1, (), horizon)
+        ha, hb = self._h, other._h
         da, db = self._den, other._den
-        # h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)), on the grid;
-        # an infinite horizon contributes nothing to the min.
-        if type(ha) is float:
-            horizon = ha if type(hb) is float else _shifted(hb, a[0][0], da)
-        elif type(hb) is float:
-            horizon = _shifted(ha, b[0][0], db)
-        else:
-            horizon = min(_shifted(ha, b[0][0], db), _shifted(hb, a[0][0], da))
-        if type(cap) is not float and cap < horizon:
-            horizon = cap
-        if len(a) == 1:
-            return other._monomial_mul(a[0][1], a[0][0], da, horizon)
-        if len(b) == 1:
-            return self._monomial_mul(b[0][1], b[0][0], db, horizon)
         if da == db:
-            den = da
+            den, fa, fb = da, 1, 1
         else:
             den = da * db // math.gcd(da, db)
             fa, fb = den // da, den // db
+        # h(x*y) = min(h(x) + lambda(y), h(y) + lambda(x)) on the grid, where
+        # a factor with no visible terms is zero only below its horizon, so
+        # its valuation is at least that horizon; None stands for inf.
+        la = a[0][0] * fa if a else None if ha is None else ha * fa
+        lb = b[0][0] * fb if b else None if hb is None else hb * fb
+        h = None if ha is None or lb is None else ha * fa + lb
+        if hb is not None and la is not None:
+            k = hb * fb + la
+            if h is None or k < h:
+                h = k
+        if type(cap) is not float:  # a finite cap, put onto the grid once
+            cn, cd = cap.numerator, cap.denominator
+            if h is None or cn * den < h * cd:
+                grid, h = _on_grid(cn, cd, den)
+                if grid != den:
+                    m = grid // den
+                    den, fa, fb = grid, fa * m, fb * m
+        if not a or not b:
+            return ZERO if h is None else _number(den, h, ())
+        if len(a) == 1:
+            return other._monomial_mul(a[0][1], a[0][0] * fa, den, h)
+        if len(b) == 1:
+            return self._monomial_mul(b[0][1], b[0][0] * fb, den, h)
+        if fa > 1:
             a = [(e * fa, c) for e, c in a]
+        if fb > 1:
             b = [(e * fb, c) for e, c in b]
-        bound = _ceil_bound(horizon, den)
         acc: dict[int, float] = {}
         get = acc.get
         for ea, ca in a:
-            room = None if bound is None else bound - ea
+            room = None if h is None else h - ea
             if room is not None and b[0][0] >= room:
                 break  # a is sorted too; later rows lie past the horizon
             for eb, cb in b:
@@ -467,9 +486,8 @@ class LCNumber:
                     break  # b is sorted; later exponents only larger
                 k = ea + eb
                 acc[k] = get(k, 0.0) + ca * cb
-        items = sorted((e, c) for e, c in acc.items() if c != 0.0)
-        den, items = _canonical(den, items)
-        return LCNumber._from_grid(den, items, horizon)
+        items = sorted([(e, c) for e, c in acc.items() if c != 0.0])
+        return _number(den, h, items)
 
     __rmul__ = __mul__
 
@@ -498,24 +516,33 @@ class LCNumber:
         would need infinitely many terms, so its inverse is truncated at the
         default horizon.
         """
-        if not self._iterms:
+        items, den, h = self._iterms, self._den, self._h
+        if not items:
             raise ZeroDivisionError("inverse of a value with no visible terms")
-        q = Fraction(self._iterms[0][0], self._den)
-        a = self._iterms[0][1]
-        if len(self._iterms) == 1:
-            horizon = self.horizon if self.horizon == INF else self.horizon - 2 * q
-            return LCNumber(((-q, 1.0 / a),), horizon)
-        target = (
-            self.horizon - 2 * q if self.horizon != INF else default_horizon()
-        )
-        rel = target + q  # horizon in the d^q-factored frame
+        q, a = items[0]
+        if len(items) == 1:
+            c = 1.0 / a
+            if not math.isfinite(c):
+                raise ValueError(
+                    f"non-finite coefficient {c!r} at exponent {Fraction(-q, den)}"
+                )
+            h = None if h is None else h - 2 * q
+            return LCNumber._from_grid(den, h, ((-q, c),))
+        if h is not None:
+            grid, target = den, h - 2 * q
+        else:
+            dh = default_horizon()
+            grid, target = _on_grid(dh.numerator, dh.denominator, den)
+            q *= grid // den
+        # the horizon in the d^q-factored frame, the geometric series' cap
+        rel = Fraction(target + q, grid)
         neg_u = -self._unit_part(rel)
         total = ONE
         power = neg_u
         while power._iterms:
             total = total + power
             power = power.__mul__(neg_u, rel)
-        return total._monomial_mul(1.0 / a, -self._iterms[0][0], self._den, target)
+        return total._monomial_mul(1.0 / a, -q, grid, target)
 
     def _unit_part(self, limit: Fraction) -> "LCNumber":
         """u in self = a*d^q*(1 + u), known up to ``limit`` <= h(self) - q.
@@ -524,16 +551,18 @@ class LCNumber:
         underflows to 0 is dropped.
         """
         q, a = self._iterms[0]
-        bound = _ceil_bound(limit, self._den)
+        grid, h = _on_grid(limit.numerator, limit.denominator, self._den)
+        m = grid // self._den
+        q *= m
         items = []
         for e, c in self._iterms[1:]:
-            if e - q >= bound:
+            e = e * m - q
+            if e >= h:
                 break  # the terms are sorted
             c /= a
             if c != 0.0:
-                items.append((e - q, c))
-        den, items = _canonical(self._den, items)
-        return LCNumber._from_grid(den, items, limit)
+                items.append((e, c))
+        return _number(grid, h, items)
 
     # -- order -------------------------------------------------------------
 
@@ -552,8 +581,12 @@ class LCNumber:
         da, db = self._den, y._den
         den = da * db // math.gcd(da, db)
         fa, fb = den // da, den // db
-        ha, hb = self.horizon, y.horizon
-        horizon = hb if type(ha) is float else ha if type(hb) is float else min(ha, hb)
+        ha, hb = self._h, y._h
+        if ha is not None:
+            ha *= fa
+        if hb is not None:
+            hb *= fb
+        h = ha if hb is None else hb if ha is None or hb < ha else ha
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
@@ -579,8 +612,7 @@ class LCNumber:
                 e, c = b[j][0] * fb, -b[j][1]
             else:
                 return Ordering.EQUAL_AT_HORIZON
-        bound = _ceil_bound(horizon, den)
-        if bound is not None and e >= bound:
+        if h is not None and e >= h:
             return Ordering.EQUAL_AT_HORIZON
         return Ordering.GREATER if c > 0 else Ordering.LESS
 
@@ -614,12 +646,12 @@ class LCNumber:
                 return NotImplemented
         return (
             self._den == other._den
+            and self._h == other._h
             and self._iterms == other._iterms
-            and self.horizon == other.horizon
         )
 
     def __hash__(self):
-        return hash((self._den, self._iterms, self.horizon))
+        return hash((self._den, self._iterms, self._h))
 
     # -- formatting ---------------------------------------------------------
 
@@ -627,7 +659,7 @@ class LCNumber:
         return format_lc(self)
 
     def __repr__(self):
-        h = "inf" if self.horizon == INF else str(self.horizon)
+        h = "inf" if self._h is None else str(self.horizon)
         return f"LCNumber({format_lc(self)!r}, horizon={h})"
 
 
@@ -635,8 +667,14 @@ class LCNumber:
 # per-call lookup of object.__setattr__.
 _set_den = LCNumber._den.__set__
 _set_iterms = LCNumber._iterms.__set__
-_set_horizon = LCNumber.horizon.__set__
+_set_h = LCNumber._h.__set__
+_set_hq = LCNumber._hq.__set__
 _set_view = LCNumber._view.__set__
+
+
+def _number(den: int, h, items) -> LCNumber:
+    """The number with these grid terms and horizon, reduced to its grid."""
+    return LCNumber._from_grid(*_canonical(den, h, items))
 
 
 def monomial(exponent, coefficient: Scalar = 1.0, horizon: Valuation = INF) -> LCNumber:
@@ -684,7 +722,10 @@ def ultrametric(x: LCNumber, y: LCNumber) -> float:
     lam = (x - y).valuation()
     if lam == INF:
         return 0.0
-    return math.exp(-float(lam))
+    try:
+        return math.exp(-float(lam))
+    except OverflowError:  # exp(-lambda) lies past binary64
+        return math.inf if lam < 0 else 0.0
 
 
 def approx_equal(x: LCNumber, y, rel_tol: float = 1e-12) -> bool:

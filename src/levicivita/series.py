@@ -25,6 +25,7 @@ from .core import (
     Ordering,
     Valuation,
     ZERO,
+    _on_grid,
     as_lc,
     default_horizon,
     format_lc,
@@ -146,8 +147,9 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
         if j:
             power = power * delta
         term = a.__mul__(power, acc.horizon)
-        # a term that shows nothing still lowers the sum's horizon to its own
-        if _least(term) < acc.horizon:
+        # a term cut at acc's horizon shows something below it, unless it
+        # is empty; an empty term still lowers the sum's horizon to its own
+        if term or term.horizon < acc.horizon:
             acc = acc + term
         elif delta.valuation() >= 0 and _least(power) + min(
             (_least(b) for b in coeffs[j + 1 :]), default=INF
@@ -344,4 +346,6 @@ def nth_root(x, n: int) -> LCNumber:
     alpha = 1.0 / n
     terms = steps(u, lambda j: (alpha - (j - 1)) / j, limit)
     acc = sum(terms, ONE.truncate(limit))
-    return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + shift)
+    # acc's horizon is limit, and the root's is limit moved by the shift
+    grid, off = _on_grid(shift.numerator, shift.denominator, acc._den)
+    return acc._monomial_mul(lead, off, grid, acc._h * (grid // acc._den) + off)

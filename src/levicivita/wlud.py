@@ -174,13 +174,15 @@ def _require_positive(value: LCNumber, name: str) -> LCNumber:
 
 
 def _margin(lhs: LCNumber, rhs: LCNumber) -> Valuation:
-    lr = rhs.valuation()
-    ll = lhs.valuation()
-    if ll == INF:
+    """lambda(rhs) - lambda(lhs), from the two leading grid exponents."""
+    if not lhs:
         return _NEG_INF
-    if lr == INF:
+    if not rhs:
         return INF
-    return lr - ll
+    return Fraction(
+        rhs._iterms[0][0] * lhs._den - lhs._iterms[0][0] * rhs._den,
+        rhs._den * lhs._den,
+    )
 
 
 def _filtered_residual(resid: LCNumber, *refs: LCNumber) -> LCNumber:

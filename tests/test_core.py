@@ -256,6 +256,11 @@ def test_ultrametric_values():
     assert ultrametric(D, D) == 0.0
     assert ultrametric(1 + D, ONE) == pytest.approx(math.exp(-1), rel=1e-15)
     assert ultrametric(monomial(-2), ZERO) == pytest.approx(math.exp(2), rel=1e-15)
+    # exp(-lambda) past binary64: inf, or 0 when lambda is past it the other way
+    assert ultrametric(monomial(-709), ZERO) == math.exp(709)
+    assert ultrametric(monomial(-710), ZERO) == math.inf
+    assert ultrametric(monomial(-800), ZERO) == math.inf
+    assert ultrametric(monomial(10**400), ZERO) == 0.0
 
 
 # -- seeded property checks -------------------------------------------------------
@@ -353,7 +358,7 @@ def test_approx_equal_tolerates_noise():
 def test_immutability():
     with pytest.raises(AttributeError):
         D.horizon = F(1)
-    for name in ("_den", "_iterms", "_view", "other"):
+    for name in ("_den", "_iterms", "_h", "_hq", "_view", "other"):
         with pytest.raises(AttributeError):
             setattr(D, name, 0)
     assert D == lc((F(1), 1.0))

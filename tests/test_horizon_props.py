@@ -5,14 +5,18 @@ Each property is checked against a reference computed with plain
 product of them is exact in binary64 and the references compare exactly.
 """
 
+import cProfile
 import math
+import pstats
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levicivita
 from levicivita import INF, LCNumber
-from levicivita.core import _ceil_bound
+from levicivita.core import _horizon_pair, _on_grid
 
 #: Run times on a shared machine vary too much for a per-example deadline.
 props = settings(deadline=None, max_examples=300)
@@ -42,22 +46,24 @@ def reference(pairs, horizon):
 
 
 @props
-@given(
-    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
-    st.integers(1, 10**4),
-)
-def test_ceil_bound_is_ceiling(h, den):
-    assert _ceil_bound(h, den) == math.ceil(Fraction(h) * den)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(1, 10**4))
+def test_on_grid_is_the_least_grid_holding_the_rational(num, qd, den):
+    grid, n = _on_grid(num, qd, den)
+    assert grid == math.lcm(den, qd)
+    assert Fraction(n, grid) == Fraction(num, qd)
 
 
 @props
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-def test_ceil_bound_of_integer_horizon(n, den):
-    assert _ceil_bound(Fraction(n), den) == n * den
+def test_on_grid_keeps_a_grid_that_holds_the_rational(n, den):
+    assert _on_grid(n, 1, den) == (den, n * den)
 
 
-def test_ceil_bound_of_inf():
-    assert _ceil_bound(INF, 6) is None
+def test_infinite_horizon_is_none_on_the_grid():
+    assert _horizon_pair(INF) is None
+    assert LCNumber([(Fraction(1, 2), 1.0)], INF)._h is None
+    assert _horizon_pair(Fraction(5, 2)) == (5, 2)
+    assert _horizon_pair(2.5) == (5, 2)
 
 
 @props
@@ -95,11 +101,111 @@ def test_sum_horizon_and_terms(x, y):
 @props
 @given(numbers(), coefficients, exponents, st.integers(1, 6), horizons)
 def test_monomial_mul_takes_unreduced_shift(x, coeff, shift, k, horizon):
-    reduced = x._monomial_mul(coeff, shift.numerator, shift.denominator, horizon)
-    scaled = x._monomial_mul(
-        coeff, k * shift.numerator, k * shift.denominator, horizon
-    )
+    # self * coeff * d^shift cut at horizon, on the least grid and on one
+    # k times finer
+    grid = math.lcm(x._den, shift.denominator)
+    if horizon != INF:
+        grid = math.lcm(grid, horizon.denominator)
+    off = shift.numerator * (grid // shift.denominator)
+    h = None if horizon == INF else horizon.numerator * (grid // horizon.denominator)
+    reduced = x._monomial_mul(coeff, off, grid, h)
+    scaled = x._monomial_mul(coeff, k * off, k * grid, None if h is None else k * h)
     assert reduced == scaled
+    assert reduced.horizon == horizon
     assert reduced.terms == reference(
         [(e + shift, c * coeff) for e, c in x.terms], horizon
     )
+
+
+# -- the grid invariant ------------------------------------------------------------
+
+#: Denominators of the operands' grids, and of caps on neither of them.
+grid_exponents = st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3, 4]))
+grid_horizons = st.one_of(
+    st.just(INF), st.builds(Fraction, st.integers(-6, 12), st.sampled_from([1, 2, 3, 5]))
+)
+off_grid_caps = st.builds(Fraction, st.integers(-40, 90), st.sampled_from([7, 11]))
+
+
+@st.composite
+def grid_numbers(draw):
+    terms = draw(st.lists(st.tuples(grid_exponents, coefficients), max_size=4))
+    return LCNumber(terms, draw(grid_horizons))
+
+
+def assert_canonical(x):
+    exps = [e for e, _ in x._iterms]
+    g = x._den if x._h is None else math.gcd(x._den, x._h)
+    for e in exps:
+        g = math.gcd(g, e)
+    assert g == 1
+    assert exps == sorted(set(exps))
+    assert all(c != 0.0 for _, c in x._iterms)
+    assert x._h is None or all(e < x._h for e in exps)
+    assert x.horizon == (INF if x._h is None else Fraction(x._h, x._den))
+    same = LCNumber(x.terms, x.horizon)
+    assert x == same and hash(x) == hash(same)
+
+
+@settings(deadline=None, max_examples=150)
+@given(grid_numbers(), grid_numbers(), st.one_of(off_grid_caps, finite_horizons))
+def test_results_stay_canonical_on_their_grid(x, y, cap):
+    results = [
+        x + y,
+        x - y,
+        x * y,
+        x.__mul__(y, cap),
+        x.truncate(cap),
+        x.infinitesimal_part(),
+        x.without_small(2.5),
+    ]
+    if x:
+        # the unit part is known up to h(x) - lambda(x) at most
+        limit = min(cap, x.horizon - x.valuation())
+        results.append(x._unit_part(limit))
+        with levicivita.horizon(Fraction(9, 2)):
+            results.append(x.inv())
+    for r in results:
+        assert_canonical(r)
+
+
+# -- int-only arithmetic -----------------------------------------------------------
+
+
+def _fractions_built(fn) -> int:
+    """Fractions constructed while fn runs, counted with cProfile."""
+    profile = cProfile.Profile()
+    profile.enable()
+    fn()
+    profile.disable()
+    return sum(
+        row[1]
+        for key, row in pstats.Stats(profile).stats.items()
+        if Path(key[0]).name == "fractions.py"
+        and key[2] in ("__new__", "_from_coprime_ints")
+    )
+
+
+def test_arithmetic_on_the_grid_builds_no_fraction():
+    F = Fraction
+    x = LCNumber([(F(1, 2), 1.5), (F(1), -2.0), (F(7, 3), 0.5)], F(41, 6))
+    y = LCNumber([(F(-1, 3), 2.0), (F(1, 4), 1.0), (F(5, 2), 3.0)], F(29, 4))
+    cap, cut = F(33, 7), F(13, 5)
+
+    def work():
+        x + y
+        x - y
+        x * y
+        x.__mul__(y, cap)
+        x.compare(y)
+        y.compare(x)
+        x.truncate(cut)
+
+    assert _fractions_built(work) == 0
+
+
+def test_horizon_builds_at_most_one_fraction_per_number():
+    x = LCNumber([(Fraction(1, 2), 1.5)], Fraction(41, 6)) * LCNumber([], Fraction(5, 4))
+    assert _fractions_built(lambda: (x.horizon, x.horizon)) == 1
+    assert x.horizon == Fraction(7, 4)  # h(y) + lambda(x) = 5/4 + 1/2
+    assert _fractions_built(lambda: (levicivita.D.horizon, levicivita.D.horizon)) == 0

@@ -424,7 +424,14 @@ def _ref_nth_root(x, n):
     for term in _ref_terms(u, lambda j: (alpha - (j - 1)) / j, _count(u, limit)):
         acc = acc + term
     lead = math.sqrt(a) if n == 2 else a ** (1.0 / n)
-    return acc._monomial_mul(lead, q.numerator, q.denominator * n, limit + q / n)
+    shift, top = q / n, limit + q / n
+    grid = math.lcm(acc._den, shift.denominator, top.denominator)
+    return acc._monomial_mul(
+        lead,
+        shift.numerator * (grid // shift.denominator),
+        grid,
+        top.numerator * (grid // top.denominator),
+    )
 
 
 _exponents = st.builds(F, st.integers(1, 10), st.integers(1, 6))
