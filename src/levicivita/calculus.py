@@ -205,13 +205,13 @@ class _Jet:
         out = [ZERO] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
-            if not a and a._h is None:
+            if not a._iterms and a._h is None:
                 continue
             for q, r in row:
                 bq = b[q]
-                if bq or bq._h is not None:
+                if bq._iterms or bq._h is not None:
                     s = out[r]
-                    out[r] = s + a.__mul__(bq, s.horizon)
+                    out[r] = s + a.__mul__(bq, INF if s._h is None else s.horizon)
         return _Jet(self.layout, out)
 
     def __pow__(self, n: int) -> "_Jet":
@@ -225,8 +225,8 @@ class _Jet:
             s = ZERO
             for p, q in row:
                 ap, bq = a[p], b[q]
-                if (ap or ap._h is not None) and (bq or bq._h is not None):
-                    s = s + ap.__mul__(bq, s.horizon)
+                if (ap._iterms or ap._h is not None) and (bq._iterms or bq._h is not None):
+                    s = s + ap.__mul__(bq, INF if s._h is None else s.horizon)
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
 
@@ -330,8 +330,9 @@ def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> L
     result = None
     for entry in plan:
         term = table[entry] if last else _horner(table, entry, v, i + 1)
-        # the sum keeps nothing of the product at or past term's horizon
-        result = term if result is None else term + result.__mul__(v[i], term.horizon)
+        if result is not None:  # the sum keeps nothing at or past term's horizon
+            term = term + result.__mul__(v[i], INF if term._h is None else term.horizon)
+        result = term
     return result
 
 
@@ -383,7 +384,7 @@ def _graded_parts(
     # the graded indices of degree <= d are the first comb(n + d, n)
     end = math.comb(pj.n + hi, pj.n)
     coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
-    while end > 1 and not coeffs[end - 1] and coeffs[end - 1]._h is None:
+    while end > 1 and not coeffs[end - 1]._iterms and coeffs[end - 1]._h is None:
         end -= 1
     start = math.comb(pj.n + lo - 1, pj.n)
     if end <= start:
@@ -397,7 +398,7 @@ def _graded_parts(
         stop = min(end, math.comb(pj.n + j, pj.n))
         part = None
         for p in range(start, stop):
-            if coeffs[p] or coeffs[p]._h is not None:
+            if coeffs[p]._iterms or coeffs[p]._h is not None:
                 term = coeffs[p].__mul__(mono[p], cap)
                 part = term if part is None else part + term
         if part is not None:

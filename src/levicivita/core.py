@@ -34,11 +34,13 @@ Internally a number lives on one integer grid: a denominator ``_den``, the
 exponents as integers on it, and the horizon as an integer ``_h`` on it
 (``None`` when infinite), reduced so the grid is the coarsest that holds them
 all.  Sums, products, caps, comparisons and truncations are pure machine-int
-loops; a ``Fraction`` cap is put onto the product grid once.  The rational
-view is built only at the API edge: ``horizon`` builds one ``Fraction`` on
-first read and keeps it, ``valuation()`` builds one per call and ``terms``
-one per term.  So test emptiness with ``bool(x)`` or ``x.is_zero``, never
-with ``x.terms``.
+loops; a ``Fraction`` cap is put onto the product grid once.  Two exact
+one-term numbers skip the loops: their uncapped product is one float
+multiply and their sum at one exponent one float add, with the same bits.
+The rational view is built only at the API edge: ``horizon`` builds one
+``Fraction`` on first read and keeps it, ``valuation()`` builds one per call
+and ``terms`` one per term.  So test emptiness with ``bool(x)`` or
+``x.is_zero``, never with ``x.terms``.
 """
 
 from __future__ import annotations
@@ -218,6 +220,16 @@ class LCNumber:
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the grid by _number, never through the raising setter
+        return _number, (self._den, self._h, self._iterms)
+
+    def __copy__(self):
+        return self  # a number is immutable, so it is its own copy
+
+    def __deepcopy__(self, memo):
+        return self
+
     @classmethod
     def from_real(cls, value: Scalar, horizon: Valuation = INF) -> "LCNumber":
         c = float(value)
@@ -366,6 +378,19 @@ class LCNumber:
         if not a and ha is None:
             return -other if neg else other
         den, db = self._den, other._den
+        # exact one-term operands at one grid exponent: one float add
+        if (
+            ha is None
+            and hb is None
+            and len(a) == 1
+            and len(b) == 1
+            and den == db
+            and a[0][0] == b[0][0]
+        ):
+            c = a[0][1] - b[0][1] if neg else a[0][1] + b[0][1]
+            if c == 0.0:
+                return ZERO
+            return LCNumber._from_grid(den, None, ((a[0][0], c),))
         if den != db:
             grid = den * db // math.gcd(den, db)
             fa, fb = grid // den, grid // db
@@ -443,6 +468,22 @@ class LCNumber:
         a, b = self._iterms, other._iterms
         ha, hb = self._h, other._h
         da, db = self._den, other._den
+        # exact one-term factors, uncapped: one float multiply and one
+        # exponent sum, reduced by one gcd unless the grid is 1
+        if cap is INF and ha is None and hb is None and len(a) == 1 and len(b) == 1:
+            c = a[0][1] * b[0][1]
+            if c == 0.0:  # underflow
+                return ZERO
+            if da == db:
+                den, e = da, a[0][0] + b[0][0]
+            else:
+                den = da * db // math.gcd(da, db)
+                e = a[0][0] * (den // da) + b[0][0] * (den // db)
+            if den != 1:
+                g = math.gcd(den, e)
+                if g != 1:
+                    den, e = den // g, e // g
+            return LCNumber._from_grid(den, None, ((e, c),))
         if da == db:
             den, fa, fb = da, 1, 1
         else:
@@ -458,8 +499,14 @@ class LCNumber:
             k = hb * fb + la
             if h is None or k < h:
                 h = k
-        if type(cap) is not float:  # a finite cap, put onto the grid once
-            cn, cd = cap.numerator, cap.denominator
+        if cap is INF:
+            hz = None
+        elif type(cap) is float:  # inf, or read as truncate reads it
+            hz = _horizon_pair(cap)
+        else:
+            hz = cap.numerator, cap.denominator
+        if hz is not None:  # a finite cap, put onto the grid once
+            cn, cd = hz
             if h is None or cn * den < h * cd:
                 grid, h = _on_grid(cn, cd, den)
                 if grid != den:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -132,6 +134,13 @@ def test_jet_matches_symbolic_oracle():
                 assert mine == pytest.approx(ref, rel=1e-9, abs=1e-10)
                 if j < 6:
                     g = diff_symbolic(g, "x")
+
+
+def test_taylor_jet_pickles_and_deep_copies():
+    jet = taylor_jet(parse_expr("ln(1+x)/(2+x)"), "x", parse_lc("3/8 + d"), 6)
+    for clone in (pickle.loads(pickle.dumps(jet)), copy.deepcopy(jet)):
+        assert type(clone) is type(jet) and clone == jet
+        assert [c.horizon for c in clone.coeffs] == [c.horizon for c in jet.coeffs]
 
 
 # -- taylor polynomial evaluation --------------------------------------------------

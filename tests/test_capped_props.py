@@ -7,15 +7,20 @@ square-and-multiply loop that starts from the unit.  Each is compared bit
 for bit: the grid, the coefficients' binary64 bits and the horizon with its
 type.  Coefficients include values that round and values whose products
 underflow, exponents sit on unequal grids, and numbers may be empty with a
-finite horizon.
+finite horizon.  Sums and products of one-term numbers, which take a short
+path when both are exact, must equal the number built from the exact
+reference terms.
 """
 
+import cProfile
+import pstats
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicivita import INF, LCNumber, ONE, Ordering
+from levicivita import D, INF, LCNumber, ONE, Ordering, ZERO, parse_expr, taylor_jet
 from levicivita.calculus import _Jet, _layout
 from levicivita.core import power
 from levicivita.expr import _float_inv
@@ -55,8 +60,12 @@ def bits(x: LCNumber) -> tuple:
     )
 
 
+#: Caps also come as floats, exact (n/8) or not, as ``truncate`` takes them.
+float_caps = st.integers(-240, 320).map(lambda n: n / 8) | st.floats(-30, 40)
+
+
 @props
-@given(numbers(), numbers(), horizons)
+@given(numbers(), numbers(), horizons | float_caps)
 def test_capped_product_is_the_truncated_product(x, y, cap):
     assert bits(x.__mul__(y, cap)) == bits((x * y).truncate(cap))
 
@@ -65,6 +74,13 @@ def test_capped_product_is_the_truncated_product(x, y, cap):
 @given(numbers(), numbers())
 def test_uncapped_product_is_the_product(x, y):
     assert bits(x.__mul__(y, INF)) == bits(x * y)
+
+
+def test_float_cap_cuts_the_product():
+    x = 1 + D
+    got = x.__mul__(x, 1.5)
+    assert bits(got) == bits((x**2).truncate(1.5))
+    assert bits(got) == bits(LCNumber([(0, 1.0), (1, 2.0)], Fraction(3, 2)))
 
 
 @props
@@ -158,3 +174,92 @@ def test_power_of_jets(shape_coeffs, n):
     got = power(jet, n, unit)
     want = unit_started_power(jet, n, unit, _Jet.inv)
     assert [bits(c) for c in got.c] == [bits(c) for c in want.c]
+
+
+# -- one-term operands ---------------------------------------------------------
+
+grid_exponents = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6])
+)
+#: Adds coefficients whose products underflow to 0.0 or -0.0.
+one_term_coefficients = st.one_of(
+    coefficients, st.sampled_from([1e-200, -1e-200, 2.0**-1074, -3e-320])
+)
+#: How far past its exponent a one-term number's finite horizon lies.
+offsets = st.builds(Fraction, st.integers(1, 20), st.sampled_from([1, 2, 3, 6]))
+
+
+def assert_is(got: LCNumber, want: LCNumber):
+    assert (got._den, got._h, got._iterms) == (want._den, want._h, want._iterms)
+    assert bits(got) == bits(want)
+    assert hash(got) == hash(want)
+
+
+@props
+@given(grid_exponents, one_term_coefficients, grid_exponents, one_term_coefficients)
+def test_exact_one_term_product_is_the_exact_monomial(ea, ca, eb, cb):
+    got = LCNumber([(ea, ca)]) * LCNumber([(eb, cb)])
+    assert_is(got, LCNumber([(ea + eb, ca * cb)]))
+
+
+@props
+@given(
+    grid_exponents,
+    one_term_coefficients,
+    grid_exponents,
+    one_term_coefficients,
+    st.booleans(),
+)
+def test_exact_one_term_sum_is_the_exact_sum(ea, ca, eb, cb, neg):
+    # on one exponent the reference sums 0.0 + ca + (+-cb), which is ca +- cb
+    x, y = LCNumber([(ea, ca)]), LCNumber([(eb, cb)])
+    got = x - y if neg else x + y
+    assert_is(got, LCNumber([(ea, ca), (eb, -cb if neg else cb)]))
+
+
+@props
+@given(grid_exponents, one_term_coefficients)
+def test_exact_one_term_difference_with_itself_is_zero(e, c):
+    x = LCNumber([(e, c)])
+    assert_is(x - x, ZERO)
+    assert_is(x + (-x), ZERO)
+
+
+@props
+@given(
+    grid_exponents,
+    one_term_coefficients,
+    offsets,
+    grid_exponents,
+    one_term_coefficients,
+    st.one_of(st.just(None), offsets),
+    st.booleans(),
+)
+def test_one_term_operands_with_a_finite_horizon(ea, ca, oa, eb, cb, ob, swap):
+    ha, hb = ea + oa, INF if ob is None else eb + ob
+    x, y = LCNumber([(ea, ca)], ha), LCNumber([(eb, cb)], hb)
+    if swap:
+        x, y = y, x
+    # h(x * y) = min(h(x) + lambda(y), h(y) + lambda(x)); an underflowed
+    # product is an empty number with that horizon, not ZERO
+    assert_is(x * y, LCNumber([(ea + eb, ca * cb)], min(ha + eb, hb + ea)))
+    s = LCNumber([(ea, ca), (eb, cb)], min(ha, hb))
+    assert_is(x + y, s)
+    assert_is(x - x, LCNumber([], x.horizon))
+
+
+def test_real_point_jets_take_no_monomial_product():
+    profile = cProfile.Profile()
+    profile.enable()
+    for text in ("exp(x)*sin(x)", "ln(1+x)/(2+x)"):
+        f = parse_expr(text)
+        for x0 in (0, Fraction(3, 8)):
+            taylor_jet(f, "x", x0, 8)
+    profile.disable()
+    calls = {
+        key[2]: row[1]
+        for key, row in pstats.Stats(profile).stats.items()
+        if Path(key[0]).name == "core.py"
+    }
+    assert calls["__mul__"] > 100
+    assert calls.get("_monomial_mul", 0) == 0

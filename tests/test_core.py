@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import threading
 from fractions import Fraction
@@ -362,6 +364,28 @@ def test_immutability():
         with pytest.raises(AttributeError):
             setattr(D, name, 0)
     assert D == lc((F(1), 1.0))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        ZERO,
+        D,
+        lc((F(0), 1.5), (F(1, 2), -0.25), (F(3), 2.0)),
+        lc((F(-7, 3), 2.0**-1074), (F(1, 6), -3.5), horizon=F(41, 6)),
+        lc((F(-2), 0.1), horizon=F(-1, 2)),
+        lc(horizon=F(5, 4)),  # empty, with a finite horizon
+    ],
+)
+def test_pickle_and_copy_round_trip(x):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        y = pickle.loads(pickle.dumps(x, protocol))
+        assert (y._den, y._h, y._iterms) == (x._den, x._h, x._iterms)
+        assert [c.hex() for _, c in y._iterms] == [c.hex() for _, c in x._iterms]
+        assert hash(y) == hash(x) and y.horizon == x.horizon
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert copy.deepcopy([x, x])[1] is x
 
 
 # -- default horizon -------------------------------------------------------------

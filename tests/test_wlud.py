@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -278,6 +280,15 @@ def test_certificate_exp():
     assert len(cert.delta_ladder) == 4
     assert cert.identity_checks
     assert all(lam == INF for _, _, lam in cert.identity_checks)
+
+
+def test_certificate_pickles_and_deep_copies():
+    cert = analyticity_certificate_1d(
+        parse_expr("exp(x)"), "x", D, jmax=8, kmax=2, plan=FAST_PLAN
+    )
+    for clone in (pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert)):
+        assert clone == cert
+        assert clone.delta == cert.delta and clone.x0 == cert.x0
 
 
 def test_certificate_cubic_polynomial():
