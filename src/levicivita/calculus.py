@@ -205,13 +205,13 @@ class _Jet:
         out = [ZERO] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
-            if not a._iterms and a._h is None:
+            if a is ZERO:
                 continue
             for q, r in row:
                 bq = b[q]
-                if bq._iterms or bq._h is not None:
+                if bq is not ZERO:
                     s = out[r]
-                    out[r] = s + a.__mul__(bq, INF if s._h is None else s.horizon)
+                    out[r] = s + a.__mul__(bq, INF if s is ZERO else s.horizon)
         return _Jet(self.layout, out)
 
     def __pow__(self, n: int) -> "_Jet":
@@ -225,8 +225,8 @@ class _Jet:
             s = ZERO
             for p, q in row:
                 ap, bq = a[p], b[q]
-                if (ap._iterms or ap._h is not None) and (bq._iterms or bq._h is not None):
-                    s = s + ap.__mul__(bq, INF if s._h is None else s.horizon)
+                if ap is not ZERO and bq is not ZERO:
+                    s = s + ap.__mul__(bq, INF if s is ZERO else s.horizon)
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
 
@@ -331,7 +331,7 @@ def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> L
     for entry in plan:
         term = table[entry] if last else _horner(table, entry, v, i + 1)
         if result is not None:  # the sum keeps nothing at or past term's horizon
-            term = term + result.__mul__(v[i], INF if term._h is None else term.horizon)
+            term = term + result.__mul__(v[i], INF if term is ZERO else term.horizon)
         result = term
     return result
 
@@ -363,9 +363,7 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     the factorials cancelled.  With one variable it is exactly
     ``taylor_polynomial_eval``.
     """
-    if k > pj.order:
-        raise OrderTooHighError(f"order {k} exceeds jet order {pj.order}")
-    return _horner(pj.table, _horner_plan(pj.n, k), _direction(pj, v))
+    return partial_taylor_sums(pj, v, [k])[0]
 
 
 def _graded_parts(
@@ -384,7 +382,7 @@ def _graded_parts(
     # the graded indices of degree <= d are the first comb(n + d, n)
     end = math.comb(pj.n + hi, pj.n)
     coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
-    while end > 1 and not coeffs[end - 1]._iterms and coeffs[end - 1]._h is None:
+    while end > 1 and coeffs[end - 1] is ZERO:
         end -= 1
     start = math.comb(pj.n + lo - 1, pj.n)
     if end <= start:
@@ -398,7 +396,7 @@ def _graded_parts(
         stop = min(end, math.comb(pj.n + j, pj.n))
         part = None
         for p in range(start, stop):
-            if coeffs[p]._iterms or coeffs[p]._h is not None:
+            if coeffs[p] is not ZERO:
                 term = coeffs[p].__mul__(mono[p], cap)
                 part = term if part is None else part + term
         if part is not None:

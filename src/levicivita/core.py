@@ -40,7 +40,10 @@ multiply and their sum at one exponent one float add, with the same bits.
 The rational view is built only at the API edge: ``horizon`` builds one
 ``Fraction`` on first read and keeps it, ``valuation()`` builds one per call
 and ``terms`` one per term.  So test emptiness with ``bool(x)`` or
-``x.is_zero``, never with ``x.terms``.
+``x.is_zero``, never with ``x.terms``.  Every number is built by
+``_from_grid``, which returns ``ZERO`` itself for no terms and an infinite
+horizon, so ``x is ZERO`` is the exact-zero test.  The grid is this
+module's alone: other modules use the number's API.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ def default_horizon() -> Fraction:
 
 
 def _checked_horizon(horizon: Scalar) -> Fraction:
-    h = Fraction(horizon)
-    if h <= 0:
-        raise ValueError("default horizon must be positive")
-    return h
+    hz = _horizon_pair(horizon)
+    if hz is None or hz[0] <= 0:
+        raise ValueError(f"default horizon must be positive and finite, got {horizon!r}")
+    return Fraction(*hz)
 
 
 def set_default_horizon(horizon: Scalar) -> None:
@@ -115,7 +118,10 @@ def _horizon_pair(horizon):
     if not isinstance(horizon, (int, Fraction)):
         if horizon == INF:
             return None
-        horizon = Fraction(horizon)
+        try:
+            horizon = Fraction(horizon)
+        except (OverflowError, ValueError):  # -inf, nan, or not a number
+            raise ValueError(f"horizon must be rational or +inf, got {horizon!r}") from None
     return horizon.numerator, horizon.denominator
 
 
@@ -126,8 +132,9 @@ def _on_grid(num: int, qd: int, den: int) -> tuple[int, int]:
     return grid, num * (grid // qd)
 
 
-def _canonical(den: int, h, items) -> tuple:
-    """(den, h, items) reduced so gcd(den, h, all exponents) == 1.
+def _number(den: int, h, items) -> "LCNumber":
+    """The number with these grid terms and horizon, reduced to its grid:
+    divided through by gcd(den, h, all exponents).
 
     ``h`` is the horizon on the grid, or None when infinite; items are
     sorted, zero-free and below h.
@@ -138,9 +145,9 @@ def _canonical(den: int, h, items) -> tuple:
             break
         g = math.gcd(g, e)
     if g == 1:
-        return den, h, tuple(items)
+        return LCNumber._from_grid(den, h, tuple(items))
     h = None if h is None else h // g
-    return den // g, h, tuple([(e // g, c) for e, c in items])
+    return LCNumber._from_grid(den // g, h, tuple([(e // g, c) for e, c in items]))
 
 
 def power(x, n: int, one, inv=methodcaller("inv")):
@@ -163,6 +170,9 @@ def power(x, n: int, one, inv=methodcaller("inv")):
     return result
 
 
+ZERO = None  # the exact zero, which the first _from_grid call builds
+
+
 class LCNumber:
     """A truncated Hahn series: sorted (exponent, coefficient) terms + horizon.
 
@@ -173,7 +183,7 @@ class LCNumber:
 
     __slots__ = ("_den", "_iterms", "_h", "_hq", "_view")
 
-    def __init__(self, terms: Iterable[tuple] = (), horizon: Valuation = INF):
+    def __new__(cls, terms: Iterable[tuple] = (), horizon: Valuation = INF):
         hz = _horizon_pair(horizon)
         den = 1 if hz is None else hz[1]
         pairs = []
@@ -198,17 +208,15 @@ class LCNumber:
         items = sorted(
             (e, c) for e, c in acc.items() if c != 0.0 and (h is None or e < h)
         )
-        den, h, items = _canonical(den, h, items)
-        _set_den(self, den)
-        _set_iterms(self, items)
-        _set_h(self, h)
-        _set_hq(self, None)
-        _set_view(self, None)
+        return _number(den, h, items)
 
     @classmethod
     def _from_grid(cls, den: int, h, iterms: tuple) -> "LCNumber":
-        # Raw constructor: (den, h, iterms) already canonical, iterms sorted,
-        # zero-free and below h.
+        # The one constructor that fills the slots: (den, h, iterms) already
+        # canonical, iterms sorted, zero-free and below h.  No terms and an
+        # infinite horizon is the exact zero, ZERO itself once it is built.
+        if h is None and not iterms and ZERO is not None:
+            return ZERO
         obj = object.__new__(cls)
         _set_den(obj, den)
         _set_iterms(obj, iterms)
@@ -239,9 +247,7 @@ class LCNumber:
         if hz is None:
             return cls._from_grid(1, None, ((0, c),) if c != 0.0 else ())
         num, den = hz
-        if c == 0.0 or num <= 0:
-            return cls._from_grid(den, num, ())
-        return cls._from_grid(den, num, ((0, c),))
+        return cls._from_grid(den, num, ((0, c),) if c != 0.0 and num > 0 else ())
 
     # -- structure ---------------------------------------------------------
 
@@ -370,13 +376,12 @@ class LCNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other is ZERO:  # the exact zero leaves the other operand
+            return self
+        if self is ZERO:
+            return -other if neg else other
         a, b = self._iterms, other._iterms
         ha, hb = self._h, other._h
-        # an exact zero (no terms, infinite horizon) leaves the other operand
-        if not b and hb is None:
-            return self
-        if not a and ha is None:
-            return -other if neg else other
         den, db = self._den, other._den
         # exact one-term operands at one grid exponent: one float add
         if (
@@ -459,6 +464,18 @@ class LCNumber:
                 out.append((e, c))
         return _number(grid, h, out)
 
+    def _scaled(self, coeff: float, shift: Fraction) -> "LCNumber":
+        """self * coeff * d^shift, with the horizon moved by shift too.
+
+        Not a product: one pass over the terms, which drops a coefficient
+        that underflows to 0.
+        """
+        den, h = self._den, self._h
+        grid, off = _on_grid(shift.numerator, shift.denominator, den)
+        return self._monomial_mul(
+            coeff, off, grid, None if h is None else h * (grid // den) + off
+        )
+
     def __mul__(self, other, cap=INF):
         """self * other; with a horizon ``cap``, (self * other).truncate(cap),
         without forming the terms at or past ``cap``."""
@@ -513,7 +530,7 @@ class LCNumber:
                     m = grid // den
                     den, fa, fb = grid, fa * m, fb * m
         if not a or not b:
-            return ZERO if h is None else _number(den, h, ())
+            return _number(den, h, ())
         if len(a) == 1:
             return other._monomial_mul(a[0][1], a[0][0] * fa, den, h)
         if len(b) == 1:
@@ -719,17 +736,12 @@ _set_hq = LCNumber._hq.__set__
 _set_view = LCNumber._view.__set__
 
 
-def _number(den: int, h, items) -> LCNumber:
-    """The number with these grid terms and horizon, reduced to its grid."""
-    return LCNumber._from_grid(*_canonical(den, h, items))
-
-
 def monomial(exponent, coefficient: Scalar = 1.0, horizon: Valuation = INF) -> LCNumber:
     """The single-term number coefficient * d^exponent."""
     return LCNumber(((_as_exponent(Fraction(exponent)), float(coefficient)),), horizon)
 
 
-ZERO = LCNumber((), INF)
+ZERO = LCNumber._from_grid(1, None, ())  # the one exact zero
 ONE = LCNumber(((Fraction(0), 1.0),), INF)
 #: The canonical positive infinitesimal: single term 1.0 * d^1.
 D = LCNumber(((Fraction(1), 1.0),), INF)
@@ -753,6 +765,17 @@ def compare(x: LCNumber, y) -> Ordering:
 
 def abs_val(x: LCNumber) -> LCNumber:
     return abs(x)
+
+
+def valuation_gap(lhs: LCNumber, rhs: LCNumber) -> Valuation:
+    """lambda(rhs) - lambda(lhs), from the two leading grid exponents; -inf
+    when lhs has no visible terms, else +inf when rhs has none."""
+    if not lhs._iterms:
+        return -INF
+    if not rhs._iterms:
+        return INF
+    (a, _), (b, _) = lhs._iterms[0], rhs._iterms[0]
+    return Fraction(b * lhs._den - a * rhs._den, rhs._den * lhs._den)
 
 
 def much_less(x: LCNumber, y: LCNumber) -> bool:

@@ -25,7 +25,6 @@ from .core import (
     Ordering,
     Valuation,
     ZERO,
-    _on_grid,
     as_lc,
     default_horizon,
     format_lc,
@@ -347,5 +346,4 @@ def nth_root(x, n: int) -> LCNumber:
     terms = steps(u, lambda j: (alpha - (j - 1)) / j, limit)
     acc = sum(terms, ONE.truncate(limit))
     # acc's horizon is limit, and the root's is limit moved by the shift
-    grid, off = _on_grid(shift.numerator, shift.denominator, acc._den)
-    return acc._monomial_mul(lead, off, grid, acc._h * (grid // acc._den) + off)
+    return acc._scaled(lead, shift)

@@ -37,6 +37,7 @@ from .core import (
     as_lc,
     format_lc,
     monomial,
+    valuation_gap,
 )
 from .expr import Expr, eval_lc
 from .calculus import PartialJet, partial_jet, partial_taylor_eval, partial_taylor_sums
@@ -89,13 +90,7 @@ class SamplingPlan:
                 c = (rng.randint(16, 128) / 64.0) * rng.choice((1.0, -1.0))
                 terms.append((e, c))
             out.append(LCNumber(terms))
-        seen = set()
-        unique = []
-        for o in out:
-            if o not in seen:
-                seen.add(o)
-                unique.append(o)
-        return unique
+        return list(dict.fromkeys(out))
 
     def points_nd(
         self, x0: Sequence[LCNumber], delta: LCNumber
@@ -114,14 +109,9 @@ class SamplingPlan:
                 vectors.append(
                     tuple(o if i == axis else ZERO for i in range(n))
                 )
-        seen = set()
-        points = []
-        for vec in vectors:
-            pt = tuple(x0[i] + vec[i] for i in range(n))
-            if pt not in seen:
-                seen.add(pt)
-                points.append(pt)
-        return points
+        return list(
+            dict.fromkeys(tuple(x0[i] + vec[i] for i in range(n)) for vec in vectors)
+        )
 
     def pair_indices(self, count: int) -> list[tuple[int, int]]:
         pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
@@ -171,18 +161,6 @@ def _require_positive(value: LCNumber, name: str) -> LCNumber:
     if value.compare(ZERO) is not Ordering.GREATER:
         raise ValueError(f"{name} must be visibly positive")
     return value
-
-
-def _margin(lhs: LCNumber, rhs: LCNumber) -> Valuation:
-    """lambda(rhs) - lambda(lhs), from the two leading grid exponents."""
-    if not lhs:
-        return _NEG_INF
-    if not rhs:
-        return INF
-    return Fraction(
-        rhs._iterms[0][0] * lhs._den - lhs._iterms[0][0] * rhs._den,
-        rhs._den * lhs._den,
-    )
 
 
 def _filtered_residual(resid: LCNumber, *refs: LCNumber) -> LCNumber:
@@ -297,7 +275,7 @@ def _run_check(f, names, center, ks, jet_order, eps, delta, plan) -> list[WludRe
             rhs = eps * norm ** t.k
             t.samples += 1
             order = lhs.compare(rhs)
-            margin = _margin(lhs, rhs)
+            margin = valuation_gap(lhs, rhs)
             if t.margin is None or margin > t.margin or order is Ordering.GREATER:
                 t.margin = margin
                 t.pair = (xi, eta, lhs, rhs)

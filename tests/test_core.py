@@ -404,6 +404,27 @@ def test_horizon_scope_rejects_non_positive():
             pass
 
 
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: D.truncate(-math.inf), "-inf"),
+        (lambda: D.__mul__(D, -math.inf), "-inf"),
+        (lambda: LCNumber([], -math.inf), "-inf"),
+        (lambda: D.truncate(math.nan), "nan"),
+        (lambda: set_default_horizon(math.inf), "inf"),
+        (lambda: horizon(-math.inf).__enter__(), "-inf"),
+    ],
+    ids=["truncate", "capped-mul", "constructor", "truncate-nan", "set-default", "scope"],
+)
+def test_non_finite_horizon_is_a_horizon_error(call, shown):
+    before = default_horizon()
+    with pytest.raises(ValueError, match=f"horizon .*, got {shown}$"):
+        call()
+    assert default_horizon() == before
+    # +inf stays a valid horizon of a number
+    assert D.truncate(math.inf) is D and LCNumber([], math.inf) is ZERO
+
+
 def test_threads_see_their_own_horizon():
     both_set = threading.Barrier(2)
     seen = {}

@@ -117,6 +117,15 @@ def test_monomial_mul_takes_unreduced_shift(x, coeff, shift, k, horizon):
     )
 
 
+@props
+@given(numbers(), coefficients, exponents)
+def test_scaled_moves_terms_and_horizon_by_the_shift(x, coeff, shift):
+    r = x._scaled(coeff, shift)
+    assert r.horizon == x.horizon + shift
+    assert r.terms == reference([(e + shift, c * coeff) for e, c in x.terms], INF)
+    assert_canonical(r)
+
+
 # -- the grid invariant ------------------------------------------------------------
 
 #: Denominators of the operands' grids, and of caps on neither of them.
