@@ -211,7 +211,7 @@ class _Jet:
                 bq = b[q]
                 if bq is not ZERO:
                     s = out[r]
-                    out[r] = s + a.__mul__(bq, INF if s is ZERO else s.horizon)
+                    out[r] = s + a.__mul__(bq, s)
         return _Jet(self.layout, out)
 
     def __pow__(self, n: int) -> "_Jet":
@@ -226,7 +226,7 @@ class _Jet:
             for p, q in row:
                 ap, bq = a[p], b[q]
                 if ap is not ZERO and bq is not ZERO:
-                    s = s + ap.__mul__(bq, INF if s is ZERO else s.horizon)
+                    s = s + ap.__mul__(bq, s)
             b.append(-(b0 * s))
         return _Jet(self.layout, b)
 
@@ -262,9 +262,10 @@ def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumb
     # A center only known below exponent h cannot support k+1 distinguishable
     # derivative scales.
     for c in center:
-        if c.horizon != INF and c.horizon < k + 1:
+        h = c.horizon
+        if h != INF and h < k + 1:
             raise OrderTooHighError(
-                f"jet order {k} needs center horizon >= {k + 1}, have {c.horizon}"
+                f"jet order {k} needs center horizon >= {k + 1}, have {h}"
             )
     layout = _layout(len(names), k)
     env = {
@@ -305,6 +306,9 @@ def partial_jet(f: Expr, vars: Sequence[str], x0: Sequence, k: int) -> PartialJe
         raise ValueError("vars and x0 must have the same length")
     if not names:
         raise ValueError("need at least one variable")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"variable {name!r} is given twice")
     coeffs = _jet_at(f, names, center, k)
     return PartialJet(center, k, dict(zip(_layout(len(names), k).indices, coeffs)))
 
@@ -331,7 +335,7 @@ def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> L
     for entry in plan:
         term = table[entry] if last else _horner(table, entry, v, i + 1)
         if result is not None:  # the sum keeps nothing at or past term's horizon
-            term = term + result.__mul__(v[i], INF if term is ZERO else term.horizon)
+            term = term + result.__mul__(v[i], term)
         result = term
     return result
 
@@ -374,9 +378,10 @@ def _graded_parts(
     Parts whose coefficients are all exact zeros are left out, and so are
     the monomials past the last other coefficient (a visible zero still
     bounds the horizon).  Each monomial v^alpha is one multiplication from
-    its parent's, and each part is summed left to right.  With a horizon
-    ``cap``, each part is H_j truncated there, for a caller whose sum keeps
-    nothing at or past it; the monomials stay exact.
+    its parent's, and each part is summed left to right.  With a ``cap``
+    (a horizon, or a sum standing for its own), each part is H_j truncated
+    there, for a caller whose sum keeps nothing at or past it; the monomials
+    stay exact.
     """
     layout = _layout(pj.n, pj.order)
     # the graded indices of degree <= d are the first comb(n + d, n)
@@ -420,7 +425,7 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     sums = [total]
     if len(ks) == 1:
         return sums
-    parts = _graded_parts(pj, vec, ks[0] + 1, top, total.horizon)
+    parts = _graded_parts(pj, vec, ks[0] + 1, top, total)
     for below, k in zip(ks, ks[1:]):
         for j in range(below + 1, k + 1):
             if j in parts:

@@ -161,7 +161,10 @@ def _cmd_eval(args) -> int:
         name, _, literal = binding.partition("=")
         if not name or not literal:
             raise LCError(f"binding {binding!r} is not of the form VAR=LC")
-        env[name.strip()] = parse_lc(literal)
+        name = name.strip()
+        if name in env:
+            raise ValueError(f"variable {name!r} is bound twice")
+        env[name] = parse_lc(literal)
     value = eval_lc(parse_expr(args.expr), env)
     _emit(args, [format_lc(value)], {"value": format_lc(value)})
     return EXIT_OK

@@ -34,16 +34,16 @@ Internally a number lives on one integer grid: a denominator ``_den``, the
 exponents as integers on it, and the horizon as an integer ``_h`` on it
 (``None`` when infinite), reduced so the grid is the coarsest that holds them
 all.  Sums, products, caps, comparisons and truncations are pure machine-int
-loops; a ``Fraction`` cap is put onto the product grid once.  Two exact
-one-term numbers skip the loops: their uncapped product is one float
-multiply and their sum at one exponent one float add, with the same bits.
-The rational view is built only at the API edge: ``horizon`` builds one
-``Fraction`` on first read and keeps it, ``valuation()`` builds one per call
-and ``terms`` one per term.  So test emptiness with ``bool(x)`` or
-``x.is_zero``, never with ``x.terms``.  Every number is built by
-``_from_grid``, which returns ``ZERO`` itself for no terms and an infinite
-horizon, so ``x is ZERO`` is the exact-zero test.  The grid is this
-module's alone: other modules use the number's API.
+loops; a cap is put onto the product grid once.  Two exact one-term numbers
+skip the loops: their product under an infinite cap is one float multiply
+and their sum at one exponent one float add, with the same bits.  A number
+holds its grid and nothing else, so each read of ``horizon``,
+``valuation()`` or ``terms`` builds its ``Fraction`` view anew.  So test
+emptiness with ``bool(x)`` or ``x.is_zero``, and cap a product at a sum's
+horizon with ``x.__mul__(y, s)``.  Every number is built by ``_from_grid``,
+which returns ``ZERO`` itself for no terms and an infinite horizon, so
+``x is ZERO`` is the exact-zero test.  The grid is this module's alone:
+other modules use the number's API.
 """
 
 from __future__ import annotations
@@ -115,18 +115,22 @@ def _as_exponent(e) -> Fraction:
 
 def _horizon_pair(horizon):
     """(numerator, denominator) of a finite horizon argument; None for inf."""
-    if not isinstance(horizon, (int, Fraction)):
-        if horizon == INF:
-            return None
-        try:
-            horizon = Fraction(horizon)
-        except (OverflowError, ValueError):  # -inf, nan, or not a number
-            raise ValueError(f"horizon must be rational or +inf, got {horizon!r}") from None
-    return horizon.numerator, horizon.denominator
+    if isinstance(horizon, (int, Fraction)):
+        return horizon.numerator, horizon.denominator
+    if not isinstance(horizon, float):
+        raise TypeError(
+            f"horizon must be int, Fraction or float, got {type(horizon).__name__}"
+        )
+    if horizon == INF:
+        return None
+    try:
+        return horizon.as_integer_ratio()
+    except (OverflowError, ValueError):  # -inf or nan
+        raise ValueError(f"horizon must be rational or +inf, got {horizon!r}") from None
 
 
 def _on_grid(num: int, qd: int, den: int) -> tuple[int, int]:
-    """(grid, n): grid the least multiple of den that holds num/qd, and
+    """(grid, n): grid the least multiple of den that qd divides, and
     num/qd == n/grid."""
     grid = den if den % qd == 0 else den * qd // math.gcd(den, qd)
     return grid, num * (grid // qd)
@@ -181,7 +185,7 @@ class LCNumber:
     with int/float/Fraction treats the scalar as exactly known.
     """
 
-    __slots__ = ("_den", "_iterms", "_h", "_hq", "_view")
+    __slots__ = ("_den", "_iterms", "_h")
 
     def __new__(cls, terms: Iterable[tuple] = (), horizon: Valuation = INF):
         hz = _horizon_pair(horizon)
@@ -221,8 +225,6 @@ class LCNumber:
         _set_den(obj, den)
         _set_iterms(obj, iterms)
         _set_h(obj, h)
-        _set_hq(obj, None)
-        _set_view(obj, None)
         return obj
 
     def __setattr__(self, name, value):
@@ -255,31 +257,21 @@ class LCNumber:
     def horizon(self) -> Valuation:
         """The exponent from which nothing is known: a Fraction, or INF.
 
-        The first read of a finite horizon builds one ``Fraction`` and keeps
-        it; arithmetic reads the grid and never needs it.
+        Each read of a finite horizon builds one ``Fraction``; arithmetic,
+        caps included, reads the grid and never needs it.
         """
         h = self._h
-        if h is None:
-            return INF
-        hq = self._hq
-        if hq is None:
-            hq = Fraction(h, self._den)
-            _set_hq(self, hq)
-        return hq
+        return INF if h is None else Fraction(h, self._den)
 
     @property
     def terms(self) -> tuple:
         """The visible terms as ((exponent: Fraction, coefficient: float), ...).
 
-        The first access builds one ``Fraction`` per term.  To test for
+        Each access builds one ``Fraction`` per term.  To test for
         emptiness use ``bool(x)`` or ``x.is_zero``, which read the grid.
         """
-        view = self._view
-        if view is None:
-            den = self._den
-            view = tuple((Fraction(e, den), c) for e, c in self._iterms)
-            _set_view(self, view)
-        return view
+        den = self._den
+        return tuple([(Fraction(e, den), c) for e, c in self._iterms])
 
     @property
     def is_zero(self) -> bool:
@@ -478,16 +470,23 @@ class LCNumber:
 
     def __mul__(self, other, cap=INF):
         """self * other; with a horizon ``cap``, (self * other).truncate(cap),
-        without forming the terms at or past ``cap``."""
+        without forming the terms at or past ``cap``.  A number ``cap`` stands
+        for its horizon: a sum caps what it is about to add with itself."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if cap is INF:
+            hz = None
+        elif isinstance(cap, LCNumber):  # its horizon, read off its grid
+            hz = None if cap._h is None else (cap._h, cap._den)
+        else:
+            hz = _horizon_pair(cap)
         a, b = self._iterms, other._iterms
         ha, hb = self._h, other._h
         da, db = self._den, other._den
-        # exact one-term factors, uncapped: one float multiply and one
-        # exponent sum, reduced by one gcd unless the grid is 1
-        if cap is INF and ha is None and hb is None and len(a) == 1 and len(b) == 1:
+        # exact one-term factors under an infinite cap: one float multiply
+        # and one exponent sum, reduced by one gcd unless the grid is 1
+        if hz is None and ha is None and hb is None and len(a) == 1 and len(b) == 1:
             c = a[0][1] * b[0][1]
             if c == 0.0:  # underflow
                 return ZERO
@@ -516,12 +515,6 @@ class LCNumber:
             k = hb * fb + la
             if h is None or k < h:
                 h = k
-        if cap is INF:
-            hz = None
-        elif type(cap) is float:  # inf, or read as truncate reads it
-            hz = _horizon_pair(cap)
-        else:
-            hz = cap.numerator, cap.denominator
         if hz is not None:  # a finite cap, put onto the grid once
             cn, cd = hz
             if h is None or cn * den < h * cd:
@@ -598,24 +591,24 @@ class LCNumber:
             dh = default_horizon()
             grid, target = _on_grid(dh.numerator, dh.denominator, den)
             q *= grid // den
-        # the horizon in the d^q-factored frame, the geometric series' cap
-        rel = Fraction(target + q, grid)
-        neg_u = -self._unit_part(rel)
+        # u is known up to the horizon in the d^q-factored frame, which caps
+        # the geometric series too
+        neg_u = -self._unit_part(target + q, grid)
         total = ONE
         power = neg_u
         while power._iterms:
             total = total + power
-            power = power.__mul__(neg_u, rel)
+            power = power.__mul__(neg_u, neg_u)
         return total._monomial_mul(1.0 / a, -q, grid, target)
 
-    def _unit_part(self, limit: Fraction) -> "LCNumber":
-        """u in self = a*d^q*(1 + u), known up to ``limit`` <= h(self) - q.
+    def _unit_part(self, limit, den: int = 1) -> "LCNumber":
+        """u in self = a*d^q*(1 + u), known up to limit/den <= h(self) - q.
 
-        u is cut below ``limit``, its horizon, and a coefficient c/a that
+        u is cut below limit/den, its horizon, and a coefficient c/a that
         underflows to 0 is dropped.
         """
         q, a = self._iterms[0]
-        grid, h = _on_grid(limit.numerator, limit.denominator, self._den)
+        grid, h = _on_grid(limit.numerator, limit.denominator * den, self._den)
         m = grid // self._den
         q *= m
         items = []
@@ -732,8 +725,6 @@ class LCNumber:
 _set_den = LCNumber._den.__set__
 _set_iterms = LCNumber._iterms.__set__
 _set_h = LCNumber._h.__set__
-_set_hq = LCNumber._hq.__set__
-_set_view = LCNumber._view.__set__
 
 
 def monomial(exponent, coefficient: Scalar = 1.0, horizon: Valuation = INF) -> LCNumber:

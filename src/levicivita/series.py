@@ -145,7 +145,7 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
     for j, a in enumerate(coeffs):
         if j:
             power = power * delta
-        term = a.__mul__(power, acc.horizon)
+        term = a.__mul__(power, acc)
         # a term cut at acc's horizon shows something below it, unless it
         # is empty; an empty term still lowers the sum's horizon to its own
         if term or term.horizon < acc.horizon:
@@ -220,7 +220,8 @@ def recenter(
 
 
 def _working_horizon(x: LCNumber) -> Valuation:
-    return x.horizon if x.horizon != INF else default_horizon()
+    h = x.horizon
+    return h if h != INF else default_horizon()
 
 
 def steps(u: LCNumber, ratio, limit: Valuation):
@@ -259,10 +260,11 @@ def exp(x) -> LCNumber:
 def ln(x) -> LCNumber:
     """ln of a finite positive argument: ln(a0) + sum((-1)^(j+1) u^j / j)."""
     x = as_lc(x)
-    if not x or x.valuation() != 0 or x.terms[0][1] <= 0:
+    terms = x.terms
+    if not terms or terms[0][0] != 0 or terms[0][1] <= 0:
         raise DomainError("ln requires a finite argument with positive real part")
-    a0 = x.terms[0][1]
-    if len(x.terms) == 1:
+    a0 = terms[0][1]
+    if len(terms) == 1:
         return LCNumber.from_real(math.log(a0), x.horizon)
     limit = _working_horizon(x)
     u = x._unit_part(limit)
@@ -279,10 +281,8 @@ def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
     i = x.infinitesimal_part()
     sr, cr = math.sin(r), math.cos(r)
     if not i:
-        return (
-            LCNumber.from_real(sr, x.horizon),
-            LCNumber.from_real(cr, x.horizon),
-        )
+        h = x.horizon
+        return LCNumber.from_real(sr, h), LCNumber.from_real(cr, h)
     limit = _working_horizon(x)
     cos_i = ONE.truncate(limit)
     sin_i = ZERO
@@ -334,12 +334,13 @@ def nth_root(x, n: int) -> LCNumber:
         raise ValueError(f"root index must be a positive integer, got {n!r}")
     if x.compare(ZERO) is not Ordering.GREATER:
         raise NotPositiveError("nth_root of a value not visibly positive")
-    q, a = x.terms[0]
+    terms = x.terms
+    q, a = terms[0]
     lead = math.sqrt(a) if n == 2 else a ** (1.0 / n)
     shift = q / n
-    if len(x.terms) == 1:
-        horizon = x.horizon if x.horizon == INF else x.horizon - q + shift
-        return monomial(shift, lead, horizon)
+    if len(terms) == 1:
+        h = x.horizon
+        return monomial(shift, lead, h if h == INF else h - q + shift)
     limit = _working_horizon(x) - q  # horizon in the d^q-factored frame
     u = x._unit_part(limit)
     alpha = 1.0 / n

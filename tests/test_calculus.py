@@ -165,6 +165,14 @@ def test_taylor_polynomial_matches_sum():
 # -- multivariate jets ----------------------------------------------------------------
 
 
+def test_repeated_variable_is_an_error():
+    # not a silent rebinding of x to its last coordinate
+    with pytest.raises(ValueError, match="^variable 'x' is given twice$"):
+        partial_jet(parse_expr("x*x"), ["x", "x"], [1, 2], 1)
+    with pytest.raises(ValueError, match="^variable 'y' is given twice$"):
+        partial_jet(parse_expr("x*y"), ["y", "x", "y"], [1, 2, 3], 1)
+
+
 def test_partial_jet_xy():
     pj = partial_jet(parse_expr("x*y"), ["x", "y"], [0, 0], 2)
     assert pj.table[(1, 1)] == ONE

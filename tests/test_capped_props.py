@@ -9,7 +9,7 @@ type.  Coefficients include values that round and values whose products
 underflow, exponents sit on unequal grids, and numbers may be empty with a
 finite horizon.  Sums and products of one-term numbers, which take a short
 path when both are exact, must equal the number built from the exact
-reference terms.
+reference terms.  A number passed as the cap stands for its horizon.
 """
 
 import cProfile
@@ -64,10 +64,24 @@ def bits(x: LCNumber) -> tuple:
 float_caps = st.integers(-240, 320).map(lambda n: n / 8) | st.floats(-30, 40)
 
 
+#: A number cap stands for its horizon: the exact zero, empty numbers with a
+#: finite horizon, and numbers whose grids the operands need not share
+#: (exponents and horizon on one grid, or the horizon on one of its own).
+number_caps = st.one_of(
+    st.just(ZERO),
+    finite_horizons.map(lambda h: LCNumber([], h)),
+    numbers(),
+    numbers(st.builds(Fraction, st.integers(-40, 90), st.sampled_from([7, 11]))),
+)
+
+
 @props
-@given(numbers(), numbers(), horizons | float_caps)
-def test_capped_product_is_the_truncated_product(x, y, cap):
+@given(numbers(), numbers(), horizons | float_caps, number_caps)
+def test_capped_product_is_the_truncated_product(x, y, cap, s):
     assert bits(x.__mul__(y, cap)) == bits((x * y).truncate(cap))
+    got, want = x.__mul__(y, s), x.__mul__(y, s.horizon)
+    assert bits(got) == bits(want)
+    assert hash(got) == hash(want)
 
 
 @props
@@ -196,10 +210,19 @@ def assert_is(got: LCNumber, want: LCNumber):
 
 
 @props
-@given(grid_exponents, one_term_coefficients, grid_exponents, one_term_coefficients)
-def test_exact_one_term_product_is_the_exact_monomial(ea, ca, eb, cb):
-    got = LCNumber([(ea, ca)]) * LCNumber([(eb, cb)])
-    assert_is(got, LCNumber([(ea + eb, ca * cb)]))
+@given(
+    grid_exponents,
+    one_term_coefficients,
+    grid_exponents,
+    one_term_coefficients,
+    st.one_of(st.just(ZERO), numbers(st.just(INF))),
+)
+def test_exact_one_term_product_is_the_exact_monomial(ea, ca, eb, cb, s):
+    # an exact number cap is an infinite cap, and leaves the product whole
+    x, y = LCNumber([(ea, ca)]), LCNumber([(eb, cb)])
+    want = LCNumber([(ea + eb, ca * cb)])
+    assert_is(x * y, want)
+    assert_is(x.__mul__(y, s), want)
 
 
 @props

@@ -195,6 +195,30 @@ def test_bad_binding_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "x", "--at", "x=1", "--at", " x=2"], "variable 'x' is bound twice"),
+        (
+            ["analyticity", "x^2", "--var", "x", "--var", "x", "--at", "1", "--at", "2"],
+            "variable 'x' is given twice",
+        ),
+        (
+            ["wlud-check", "x*y", "--var", "x", "--var", "y", "--var", "x",
+             "--at", "1", "--at", "2", "--at", "3", "--k", "1", "--eps", "1",
+             "--delta", "d"],
+            "variable 'x' is given twice",
+        ),
+    ],
+    ids=["eval", "analyticity", "wlud-check"],
+)
+def test_repeated_variable_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"levicivita: error: ValueError: {message}\n"
+
+
 def test_syntax_error_exit_3(capsys):
     code, _, err = run(capsys, "eval", "d^^2", "--at", "x=0")
     assert code == 3

@@ -425,6 +425,31 @@ def test_non_finite_horizon_is_a_horizon_error(call, shown):
     assert D.truncate(math.inf) is D and LCNumber([], math.inf) is ZERO
 
 
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: LCNumber([], "3"), "str"),
+        (lambda: D.truncate("1/2"), "str"),
+        (lambda: LCNumber.from_real(1, "5"), "str"),
+        (lambda: horizon("7").__enter__(), "str"),
+        (lambda: set_default_horizon("7"), "str"),
+        (lambda: D.__mul__(D, "3"), "str"),
+        (lambda: LCNumber([], None), "NoneType"),
+        (lambda: D.__mul__(D, None), "NoneType"),
+    ],
+    ids=[
+        "constructor", "truncate", "from-real", "scope", "set-default",
+        "capped-mul", "constructor-none", "capped-mul-none",
+    ],
+)
+def test_horizon_of_another_type_is_a_type_error(call, shown):
+    # the same form as the message of an exponent of another type
+    before = default_horizon()
+    with pytest.raises(TypeError, match=f"^horizon must be int, Fraction or float, got {shown}$"):
+        call()
+    assert default_horizon() == before
+
+
 def test_threads_see_their_own_horizon():
     both_set = threading.Barrier(2)
     seen = {}

@@ -1,10 +1,12 @@
 """Guard: no module of the library outside ``core`` reads the integer grid.
 
 ``core.LCNumber`` keeps its terms and horizon on a private integer grid
-(``_den``, ``_iterms``, ``_h``, with the rational views ``_hq`` and
-``_view``) and builds every number through ``_number`` and ``_from_grid``.
-Every other module uses the number's API, so a change to the
-representation is a change to ``core`` alone.
+(the slots ``_den``, ``_iterms`` and ``_h``) and builds every number
+through ``_number`` and ``_from_grid``.  Every other module uses the
+number's API, so a change to the representation is a change to ``core``
+alone.  The guard also keeps out ``_hq`` and ``_view``, the names of the
+rational views a number once cached, so that no module comes to rely on
+them again.
 """
 
 import ast

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levicivita
-from levicivita import INF, LCNumber
+from levicivita import INF, LCNumber, parse_expr, partial_jet
+from levicivita.calculus import _Jet, _layout, partial_taylor_sums
 from levicivita.core import _horizon_pair, _on_grid
 
 #: Run times on a shared machine vary too much for a per-example deadline.
@@ -209,12 +210,28 @@ def test_arithmetic_on_the_grid_builds_no_fraction():
         x.compare(y)
         y.compare(x)
         x.truncate(cut)
+        x.inv()
 
     assert _fractions_built(work) == 0
 
 
-def test_horizon_builds_at_most_one_fraction_per_number():
-    x = LCNumber([(Fraction(1, 2), 1.5)], Fraction(41, 6)) * LCNumber([], Fraction(5, 4))
-    assert _fractions_built(lambda: (x.horizon, x.horizon)) == 1
-    assert x.horizon == Fraction(7, 4)  # h(y) + lambda(x) = 5/4 + 1/2
-    assert _fractions_built(lambda: (levicivita.D.horizon, levicivita.D.horizon)) == 0
+def test_capped_sums_build_no_fraction():
+    # a sum hands itself to the product it adds as the cap, so no finite
+    # horizon is read as a Fraction on the way
+    F = Fraction
+    x0 = LCNumber([(0, 1.0), (F(1, 2), 0.5), (F(3, 2), -2.0)], F(19, 2))
+    y0 = LCNumber([(0, 2.0), (F(1, 3), -1.5)], F(28, 3))
+    pj = partial_jet(parse_expr("exp(x)*y/(1+x*y)"), ["x", "y"], [x0, y0], 4)
+    v = [LCNumber([(F(3, 2), 1.0), (2, 0.25)], 9), LCNumber([(F(5, 3), -1.0)], 9)]
+    assert _fractions_built(lambda: partial_taylor_sums(pj, v, [2, 4])) == 0
+
+    layout = _layout(2, 3)
+    coeffs = [
+        LCNumber([(F(j, 2), 1.0 + j), (F(j + 3, 3), -0.5)], F(40 - j, 4))
+        for j in range(len(layout.indices))
+    ]
+    jet = _Jet(layout, coeffs)
+    other = _Jet(layout, coeffs[::-1])
+    assert _fractions_built(lambda: jet * other) == 0
+    # core's own inv of the multi-term constant term builds none either
+    assert _fractions_built(jet.inv) == 0

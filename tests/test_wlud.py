@@ -141,6 +141,19 @@ def test_check_1d_is_check_nd_with_one_variable():
 # -- n-variable checks ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: wlud_check_nd(f, ["x", "x"], [1, 2], 1, ONE, D),
+        lambda f: analyticity_certificate_nd(f, ["x", "x"], [1, 2], jmax=4, kmax=1),
+    ],
+    ids=["wlud_check_nd", "analyticity_certificate_nd"],
+)
+def test_nd_repeated_variable_is_an_error(call):
+    with pytest.raises(ValueError, match="^variable 'x' is given twice$"):
+        call(parse_expr("x^2"))
+
+
 def test_nd_bilinear_passes_exactly():
     r = wlud_check_nd(parse_expr("x*y"), ["x", "y"], [0, 0], 2, 1, D, FAST_PLAN)
     assert r.result == "pass"
