@@ -293,13 +293,8 @@ def derivative_at(f: Expr, var: str, x0, j: int) -> LCNumber:
     return taylor_jet(f, var, x0, j).derivative(j)
 
 
-def partial_jet(f: Expr, vars: Sequence[str], x0: Sequence, k: int) -> PartialJet:
-    """All scaled partials d^alpha f(x0)/alpha! with |alpha| <= k.
-
-    One multivariate jet evaluation produces the full table; mixed partials
-    are symmetric by construction.  With one variable the table holds
-    exactly the coefficients of ``taylor_jet``.
-    """
+def _checked_point(vars: Sequence[str], x0: Sequence) -> tuple[list[str], tuple]:
+    """The names and the point as numbers: one distinct name per coordinate."""
     names = list(vars)
     center = tuple(as_lc(c) for c in x0)
     if len(names) != len(center):
@@ -309,6 +304,17 @@ def partial_jet(f: Expr, vars: Sequence[str], x0: Sequence, k: int) -> PartialJe
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"variable {name!r} is given twice")
+    return names, center
+
+
+def partial_jet(f: Expr, vars: Sequence[str], x0: Sequence, k: int) -> PartialJet:
+    """All scaled partials d^alpha f(x0)/alpha! with |alpha| <= k.
+
+    One multivariate jet evaluation produces the full table; mixed partials
+    are symmetric by construction.  With one variable the table holds
+    exactly the coefficients of ``taylor_jet``.
+    """
+    names, center = _checked_point(vars, x0)
     coeffs = _jet_at(f, names, center, k)
     return PartialJet(center, k, dict(zip(_layout(len(names), k).indices, coeffs)))
 

@@ -696,11 +696,13 @@ class LCNumber:
 
     def __eq__(self, other):
         # Structural identity (same visible terms and same horizon).  Use
-        # compare() for value equality at a shared horizon.
+        # compare() for value equality at a shared horizon.  A scalar equals
+        # an exactly-known real c when c == scalar exactly, so hash is hash(c).
         if not isinstance(other, LCNumber):
-            other = self._coerce(other)
-            if other is None:
+            if not isinstance(other, (int, float, Fraction)):
                 return NotImplemented
+            c = self.exact_real()
+            return c is not None and c == other
         return (
             self._den == other._den
             and self._h == other._h
@@ -708,7 +710,8 @@ class LCNumber:
         )
 
     def __hash__(self):
-        return hash((self._den, self._iterms, self._h))
+        c = self.exact_real()
+        return hash((self._den, self._iterms, self._h) if c is None else c)
 
     # -- formatting ---------------------------------------------------------
 

@@ -40,7 +40,9 @@ from .core import (
     valuation_gap,
 )
 from .expr import Expr, eval_lc
-from .calculus import PartialJet, partial_jet, partial_taylor_eval, partial_taylor_sums
+from .calculus import (
+    PartialJet, _checked_point, partial_jet, partial_taylor_eval, partial_taylor_sums
+)
 from .series import PowerSeries, _taylor_sum, _working_horizon, growth_window, recenter
 
 _NEG_INF = -math.inf
@@ -64,6 +66,12 @@ class SamplingPlan:
     random_offsets: int = 4
     seed: int = 0xC0FFEE
     max_pairs: int = 400
+
+    def __post_init__(self):
+        if self.random_offsets < 0:
+            raise ValueError(f"random_offsets must be >= 0, got {self.random_offsets}")
+        if self.max_pairs < 1:
+            raise ValueError(f"max_pairs must be >= 1, got {self.max_pairs}")
 
     def offsets(self, delta: LCNumber) -> list[LCNumber]:
         lam = delta.valuation()
@@ -220,15 +228,15 @@ def wlud_check_nd(
     B_delta(x0).
 
     Tests |f(eta) - f(xi) - sum((1/j!) ((eta-xi).grad)^j f(xi), j=1..k)|
-    <= eps*|eta-xi|^k at sampled xi, eta, with all partials taken from one
-    multivariate jet per xi.  Fails fast on the first violating pair; pairs
+    <= eps*|eta-xi|^k at sampled xi, eta, with one multivariate jet per
+    sample point: the partials at xi come from xi's jet, and f(eta) is
+    coefficient 0 of eta's.  Fails fast on the first violating pair; pairs
     whose comparison is indistinguishable at horizon are counted as
     inconclusive rather than decided, and a check that decides no pair is
     inconclusive.
     """
     plan = plan or SamplingPlan()
-    names = list(vars)
-    center = tuple(as_lc(c) for c in x0)
+    names, center = _checked_point(vars, x0)
     eps = _require_positive(as_lc(eps), "eps")
     delta = _require_positive(as_lc(delta), "delta")
     (report,) = _run_check(f, names, center, [k], k, eps, delta, plan)
@@ -250,23 +258,23 @@ class _Tally:
 def _run_check(f, names, center, ks, jet_order, eps, delta, plan) -> list[WludReport]:
     """The order-k checks for every k in the ascending ks, in one pair walk.
 
-    Every pair takes one jet at xi (of jet_order >= max(ks), once per point),
-    one f(eta) and one approximant per order still undecided.  An order
-    leaves the walk at its first violating pair, and the walk ends when no
+    Each sample point is evaluated once, as a jet of jet_order >= max(ks): a
+    pair reads T_k[f, xi] off the jet at xi and f(eta) off coefficient 0 of
+    the jet at eta.  An order still undecided forms one approximant per pair
+    and leaves the walk at its first violating pair; the walk ends when no
     order is left.  Returns one report per order, in the order of ks.
     """
     pts = plan.points_nd(center, delta)
     tallies = [_Tally(k) for k in ks]
     live, orders = tallies, list(ks)
     jets: dict[int, PartialJet] = {}
-    fvals: dict[int, LCNumber] = {}
+    constant = (0,) * len(center)
     for i, j in plan.pair_indices(len(pts)):
         xi, eta = pts[i], pts[j]
-        if i not in jets:
-            jets[i] = partial_jet(f, names, xi, jet_order)
-        if j not in fvals:
-            fvals[j] = eval_lc(f, dict(zip(names, eta)))
-        feta = fvals[j]
+        for p in (i, j):
+            if p not in jets:
+                jets[p] = partial_jet(f, names, pts[p], jet_order)
+        feta = jets[j].table[constant]
         v = tuple(eta[m] - xi[m] for m in range(len(center)))
         norm = _sup_norm(v)
         dropped = False
@@ -397,8 +405,7 @@ def analyticity_certificate_nd(
     identity via the directional Taylor operators at the center."""
     plan = plan or SamplingPlan()
     window = _resolve_window(jmax, kmax, window)
-    names = list(vars)
-    center = tuple(as_lc(c) for c in x0)
+    names, center = _checked_point(vars, x0)
     pj = partial_jet(f, names, center, jmax)
     entries = _delta_ladder_search_nd(f, names, center, kmax, ladder, plan)
 

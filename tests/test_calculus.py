@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -368,13 +369,19 @@ def non_real_centers(draw):
 @given(
     text=st.sampled_from(CANCELLING) | st.sampled_from(CORPUS_30),
     center=non_real_centers(),
+    other=non_real_centers(),
+    xy=st.sampled_from(["(x+y)/2", "x*y"]),
     k=st.integers(1, 3),
 )
-def test_jet_value_is_eval_lc(text, center, k):
+def test_jet_value_is_eval_lc(text, center, other, xy, k):
     # coefficient 0 of a jet is f(x0) by the same field operations, so the
-    # two agree in terms and in horizon
+    # two agree in terms and in horizon, at one variable and at two (the
+    # WLUD pair walk reads f(eta) off the jet at eta)
     f = parse_expr(text)
     assert taylor_jet(f, "x", center, k).coeffs[0] == eval_lc(f, {"x": center})
+    g = parse_expr(re.sub(r"\bx\b", f"({xy})", text))
+    value = eval_lc(g, {"x": center, "y": other})
+    assert partial_jet(g, ["x", "y"], (center, other), k).table[(0, 0)] == value
 
 
 # -- directional powers ----------------------------------------------------------------

@@ -351,6 +351,22 @@ def test_structural_equality_and_hash():
     assert a != lc((F(1), 1.0), horizon=F(5))
 
 
+def test_scalar_equality_is_exact_and_agrees_with_hash():
+    # a scalar equals an exactly-known real c when c == scalar exactly,
+    # and never raises, even for a scalar that no LCNumber can hold
+    assert not ONE == math.nan and ONE != math.nan and ONE != math.inf
+    assert ONE in [math.nan, 1.0]
+    assert ONE == 1.0 and hash(ONE) == hash(1.0)
+    assert {ONE: 1}.get(1.0) == 1 and {1: 1}.get(ONE) == 1
+    assert LCNumber.from_real(0.1) != F(1, 10)
+    assert LCNumber.from_real(2**53 + 1) != 2**53 + 1
+    assert lc((F(0), 0.5), horizon=F(4)) != 0.5  # not exactly known
+    assert D != 0 and ZERO == 0 and ZERO == 0.0
+    for c in (0, 1, -2.5, 0.1, F(3, 4), 2**53, 1e300, 5e-324):
+        x = LCNumber.from_real(c)
+        assert hash(x) == hash(x.exact_real()) == hash(float(c))
+
+
 def test_approx_equal_tolerates_noise():
     a = lc((F(0), 1.0), (F(1), 1e-16))
     assert approx_equal(a, ONE)

@@ -59,6 +59,20 @@ def test_plan_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_pairs", 0, "max_pairs must be >= 1, got 0"),
+        ("random_offsets", -1, "random_offsets must be >= 0, got -1"),
+    ],
+)
+def test_plan_rejects_values_that_break_the_walk(field, value, message):
+    # max_pairs = 0 would divide by zero in pair_indices, and a negative
+    # offset count would sample like 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SamplingPlan(**{field: value})
+
+
 def test_plan_grid_contains_documented_witness_scales():
     # the |x| witness family (d^(2m), -d^m) needs both exponents in the grid
     offs = SamplingPlan().offsets(D)
@@ -152,6 +166,43 @@ def test_check_1d_is_check_nd_with_one_variable():
 def test_nd_repeated_variable_is_an_error(call):
     with pytest.raises(ValueError, match="^variable 'x' is given twice$"):
         call(parse_expr("x^2"))
+
+
+@pytest.mark.parametrize(
+    "names, x0, message",
+    [
+        ([], [], "need at least one variable"),
+        (["x"], [], "vars and x0 must have the same length"),
+    ],
+)
+def test_nd_empty_center_is_an_error(names, x0, message):
+    # checked before sampling, whose n-variable grid divides by n
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        wlud_check_nd(parse_expr("x^2"), names, x0, 1, 1, D)
+
+
+def test_walk_takes_one_jet_per_point_and_no_other_evaluation(monkeypatch):
+    # f(eta) is coefficient 0 of eta's jet: the walk calls eval_lc nowhere,
+    # and takes exactly one jet at each distinct sample point
+    def no_eval_lc(*args):
+        raise AssertionError("the pair walk evaluated f outside a jet")
+
+    centres = []
+    jet = wlud.partial_jet
+
+    def counting_jet(f, names, x0, k):
+        centres.append(tuple(x0))
+        return jet(f, names, x0, k)
+
+    monkeypatch.setattr(wlud, "eval_lc", no_eval_lc)
+    monkeypatch.setattr(wlud, "partial_jet", counting_jet)
+    center = (0.5 + D, D)
+    r = wlud_check_nd(parse_expr("sin(x)*exp(y)"), ["x", "y"], center, 2, 1, D, FAST_PLAN)
+    assert r.result == "pass"
+    pts = FAST_PLAN.points_nd(center, D)
+    touched = {pts[p] for pair in FAST_PLAN.pair_indices(len(pts)) for p in pair}
+    assert len(centres) == len(touched)
+    assert set(centres) == touched
 
 
 def test_nd_bilinear_passes_exactly():
