@@ -11,13 +11,11 @@ Quick start::
 
 from .core import (
     D,
-    ExpQ,
     INF,
     LCNumber,
     ONE,
     Ordering,
     ZERO,
-    abs_val,
     approx_equal,
     compare,
     default_horizon,
@@ -65,9 +63,7 @@ from .expr import (
 )
 from .calculus import (
     PartialJet,
-    TaylorJet,
     derivative_at,
-    directional_power,
     lhopital_limit,
     multi_indices,
     partial_jet,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from . import series
-from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc, power
+from .core import D, INF, LCNumber, ONE, Ordering, ZERO, as_lc, power
 from .errors import (
     InfiniteLimitError,
     NonJetResultError,
@@ -30,23 +30,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .expr import Expr, eval_lc, evaluate
-
-
-class TaylorJet(series.PowerSeries):
-    """Scaled derivatives c_j = f^(j)(x0)/j! for j = 0..order: the Taylor
-    polynomial of f at x0, a power series centred there."""
-
-    @property
-    def order(self) -> int:
-        return self.jmax
-
-    def derivative(self, j: int) -> LCNumber:
-        if j > self.order:
-            raise OrderTooHighError(f"order {j} exceeds jet order {self.order}")
-        return self.coeffs[j] * float(math.factorial(j))
-
-    def to_power_series(self) -> series.PowerSeries:
-        return self
 
 
 @dataclass(frozen=True)
@@ -279,18 +262,19 @@ def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumb
     ).c
 
 
-def taylor_jet(f: Expr, var: str, x0, k: int) -> TaylorJet:
-    """Taylor coefficients f^(j)(x0)/j! for j = 0..k by jet evaluation.
+def taylor_jet(f: Expr, var: str, x0, k: int) -> series.PowerSeries:
+    """The Taylor polynomial of f at x0: the power series centred there with
+    coefficients f^(j)(x0)/j! for j = 0..k, by jet evaluation.
 
     The center's horizon must reach past the jet order.
     """
     x0 = as_lc(x0)
-    return TaylorJet(x0, tuple(_jet_at(f, [var], (x0,), k)))
+    return series.PowerSeries(x0, tuple(_jet_at(f, [var], (x0,), k)))
 
 
 def derivative_at(f: Expr, var: str, x0, j: int) -> LCNumber:
     """The j-th derivative f^(j)(x0) = j! * (jet coefficient j)."""
-    return taylor_jet(f, var, x0, j).derivative(j)
+    return taylor_jet(f, var, x0, j).coeffs[j] * float(math.factorial(j))
 
 
 def _checked_point(vars: Sequence[str], x0: Sequence) -> tuple[list[str], tuple]:
@@ -346,31 +330,11 @@ def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> L
     return result
 
 
-def _direction(pj: PartialJet, v: Sequence) -> list[LCNumber]:
-    vec = [as_lc(c) for c in v]
-    if len(vec) != pj.n:
-        raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
-    return vec
-
-
-def directional_power(pj: PartialJet, v: Sequence, j: int) -> LCNumber:
-    """The j-th directional Taylor operator along v applied at the center.
-
-    Equals j! * sum over |alpha| = j of table[alpha] * prod(v_i^alpha_i),
-    i.e. the fully expanded ((v . grad))^j f(x0) by the multinomial theorem:
-    j! times the graded part H_j.
-    """
-    if j > pj.order:
-        raise OrderTooHighError(f"order {j} exceeds jet order {pj.order}")
-    part = _graded_parts(pj, _direction(pj, v), j, j).get(j)
-    return ZERO if part is None else part * float(math.factorial(j))
-
-
 def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     """sum(table[alpha] * v^alpha) over |alpha| <= k, by nested Horner.
 
-    Equals f(x0) + sum((1/j!) * directional_power(pj, v, j), j = 1..k) with
-    the factorials cancelled.  With one variable it is exactly
+    Equals f(x0) + sum((1/j!) * ((v . grad)^j f)(x0), j = 1..k) with the
+    factorials cancelled.  With one variable it is exactly
     ``taylor_polynomial_eval``.
     """
     return partial_taylor_sums(pj, v, [k])[0]
@@ -426,7 +390,9 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     top = ks[-1]
     if top > pj.order:
         raise OrderTooHighError(f"order {top} exceeds jet order {pj.order}")
-    vec = _direction(pj, v)
+    vec = [as_lc(c) for c in v]
+    if len(vec) != pj.n:
+        raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
     total = _horner(pj.table, _horner_plan(pj.n, ks[0]), vec)
     sums = [total]
     if len(ks) == 1:
@@ -440,12 +406,12 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     return sums
 
 
-def taylor_polynomial_eval(jet: TaylorJet, y, k: int) -> LCNumber:
+def taylor_polynomial_eval(jet: series.PowerSeries, y, k: int) -> LCNumber:
     """Evaluate the degree-k Taylor polynomial of the jet at y (Horner).
 
     This is ``partial_taylor_eval`` on the jet's one-variable table.
     """
-    pj = PartialJet((jet.center,), jet.order, {(j,): c for j, c in enumerate(jet.coeffs)})
+    pj = PartialJet((jet.center,), jet.jmax, {(j,): c for j, c in enumerate(jet.coeffs)})
     return partial_taylor_eval(pj, (as_lc(y) - jet.center,), k)
 
 
@@ -460,8 +426,6 @@ def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:
     ga = eval_lc(g, {var: a})
     if fa or ga:
         raise NotIndeterminateError("f and g must both vanish at the point")
-    from .core import D
-
     x = a + D
     fe = eval_lc(f, {var: x})
     ge = eval_lc(g, {var: x})

@@ -144,6 +144,8 @@ def _global_flags(sp):
 
 
 def _plan(args) -> SamplingPlan:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     return SamplingPlan(random_offsets=args.samples, seed=args.seed)
 
 

@@ -58,7 +58,6 @@ from typing import Iterable, Union
 
 from .errors import ZeroOperandError
 
-ExpQ = Fraction
 Scalar = Union[int, float, Fraction]
 #: Valuations and horizons: an exact rational, or +/-inf (floats only there).
 Valuation = Union[Fraction, float]
@@ -755,10 +754,6 @@ def valuation(x: LCNumber) -> Valuation:
 
 def compare(x: LCNumber, y) -> Ordering:
     return x.compare(y)
-
-
-def abs_val(x: LCNumber) -> LCNumber:
-    return abs(x)
 
 
 def valuation_gap(lhs: LCNumber, rhs: LCNumber) -> Valuation:

@@ -173,10 +173,6 @@ class Apply(_Node):
 Expr = Union[RationalConst, Variable, Add, Sub, Mul, Div, IntPow, Apply]
 
 
-def const(value) -> RationalConst:
-    return RationalConst(value)
-
-
 def _unpickle(rows) -> Expr:
     nodes: list = []
     for cls, fields in rows:
@@ -763,7 +759,7 @@ def _diff_rule(node: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
                 return RationalConst(_ZERO)
             if exponent == 1:
                 return d[base]
-            return _mul(_mul(const(exponent), _pow(base, exponent - 1)), d[base])
+            return _mul(_mul(RationalConst(exponent), _pow(base, exponent - 1)), d[base])
         case Apply("exp", arg):
             return _mul(node, d[arg])
         case Apply("ln", arg):
@@ -773,4 +769,4 @@ def _diff_rule(node: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
         case Apply("cos", arg):
             return _neg(_mul(Apply("sin", arg), d[arg]))
         case Apply("sqrt", arg):
-            return _div(d[arg], _mul(const(2), node))
+            return _div(d[arg], _mul(RationalConst(2), node))

@@ -22,7 +22,6 @@ from levicivita import (
     approx_equal,
     derivative_at,
     diff_symbolic,
-    directional_power,
     eval_lc,
     lhopital_limit,
     monomial,
@@ -59,8 +58,8 @@ def real(v):
 def test_jet_of_square():
     jet = taylor_jet(parse_expr("x^2"), "x", 3, 2)
     assert [c.real_part() for c in jet.coeffs] == [9.0, 6.0, 1.0]
-    assert jet.derivative(1).real_part() == 6.0
-    assert jet.derivative(2).real_part() == 2.0
+    assert derivative_at(parse_expr("x^2"), "x", 3, 1).real_part() == 6.0
+    assert derivative_at(parse_expr("x^2"), "x", 3, 2).real_part() == 2.0
 
 
 def test_jet_of_sin():
@@ -384,31 +383,34 @@ def test_jet_value_is_eval_lc(text, center, other, xy, k):
     assert partial_jet(g, ["x", "y"], (center, other), k).table[(0, 0)] == value
 
 
-# -- directional powers ----------------------------------------------------------------
+# -- graded parts of the Taylor sum -----------------------------------------------------
 
 
-def test_directional_power_linear():
+def test_taylor_sums_of_a_linear_form():
     pj = partial_jet(parse_expr("x+y"), ["x", "y"], [0, 0], 1)
     v = (real(2), real(3))
-    assert directional_power(pj, v, 1) == real(5)
+    assert partial_taylor_sums(pj, v, [0, 1]) == [ZERO, real(5)]
 
 
-def test_directional_power_bilinear():
+def test_taylor_sums_of_a_bilinear_form():
     pj = partial_jet(parse_expr("x*y"), ["x", "y"], [0, 0], 2)
-    assert directional_power(pj, (ONE, ONE), 2) == real(2)
+    assert partial_taylor_sums(pj, (ONE, ONE), [0, 1, 2]) == [ZERO, ZERO, ONE]
 
 
-def test_directional_power_homogeneity():
+def test_taylor_sum_graded_parts_are_homogeneous():
+    # H_j(3v) = 3^j H_j(v), with H_j the step of the sums from order j-1 to j
     pj = partial_jet(parse_expr("x^2*y + y^2"), ["x", "y"], [1, -1], 3)
     v = (real(0.5), real(2))
+    small = partial_taylor_sums(pj, v, [0, 1, 2, 3])
+    large = partial_taylor_sums(pj, tuple(3 * c for c in v), [0, 1, 2, 3])
     for j in range(1, 4):
-        lhs = directional_power(pj, tuple(3 * c for c in v), j)
-        rhs = directional_power(pj, v, j) * float(3**j)
+        lhs = large[j] - large[j - 1]
+        rhs = (small[j] - small[j - 1]) * float(3**j)
         assert approx_equal(lhs, rhs)
 
 
-def test_directional_power_is_j_factorial_times_the_graded_part(monkeypatch):
-    # n = 2, order 6, j = 2, with every coefficient of degree <= 2 nonzero
+def test_taylor_sums_add_one_graded_part_to_horner(monkeypatch):
+    # n = 2, order 6, sums to orders 1 and 2, every coefficient of degree <= 2 nonzero
     pj = partial_jet(parse_expr("exp(x+2*y)"), ["x", "y"], [real(0.5), D], 6)
     v = (parse_lc("d - d^2"), parse_lc("1/3 + d^(1/2)"))
     products = []
@@ -419,20 +421,18 @@ def test_directional_power_is_j_factorial_times_the_graded_part(monkeypatch):
         return mul(a, b, *cap)
 
     monkeypatch.setattr(LCNumber, "__mul__", counting_mul)
-    value = directional_power(pj, v, 2)
+    sums = partial_taylor_sums(pj, v, [1, 2])
     monkeypatch.undo()
     n, j = 2, 2
-    # the monomials past degree 1, one product per degree-j coefficient, and j!
-    assert len(products) == (math.comb(n + j, j) - 1 - n) + math.comb(n + j - 1, j) + 1
+    # Horner to order 1, then the monomials past degree 1 and one product
+    # per degree-j coefficient
+    assert len(products) == n + (math.comb(n + j, j) - 1 - n) + math.comb(n + j - 1, j)
     t = pj.table
-    expected = (t[(2, 0)] * v[0] * v[0] + t[(1, 1)] * v[0] * v[1] + t[(0, 2)] * v[1] * v[1]) * 2.0
-    assert approx_equal(value, expected, rel_tol=1e-14)
-
-
-def test_directional_power_order_too_high():
-    pj = partial_jet(parse_expr("x+y"), ["x", "y"], [0, 0], 1)
-    with pytest.raises(OrderTooHighError):
-        directional_power(pj, (ONE, ONE), 2)
+    assert sums[0] == partial_taylor_eval(pj, v, 1)
+    expected = sums[0] + (
+        t[(2, 0)] * v[0] * v[0] + t[(1, 1)] * v[0] * v[1] + t[(0, 2)] * v[1] * v[1]
+    )
+    assert approx_equal(sums[1], expected, rel_tol=1e-14)
 
 
 def test_taylor_identity_trivariate_polynomial():
@@ -446,11 +446,15 @@ def test_taylor_identity_trivariate_polynomial():
         target = eval_lc(f, dict(zip(names, (c + e for c, e in zip(center, eta)))))
         total = partial_taylor_eval(pj, eta, 5)
         assert (target - total).is_zero  # exact for integer polynomials
-        # the factorial-cancelled sum equals the directional-operator sum
-        via_ops = pj.table[(0, 0, 0)]
-        for j in range(1, 6):
-            via_ops = via_ops + directional_power(pj, eta, j) * (1.0 / math.factorial(j))
-        assert approx_equal(total, via_ops, rel_tol=1e-12)
+        # a reference with no Horner and no graded parts: each term by plain products
+        ref = ZERO
+        for alpha, coeff in pj.table.items():
+            term = coeff
+            for e, a in zip(eta, alpha):
+                for _ in range(a):
+                    term = term * e
+            ref = ref + term
+        assert approx_equal(total, ref, rel_tol=1e-12)
 
 
 # -- Taylor sums of several orders at once -------------------------------------------

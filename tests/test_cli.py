@@ -220,13 +220,15 @@ def test_repeated_variable_exit_3(capsys, argv, message):
 
 
 def test_negative_samples_exit_3(capsys):
-    code, out, err = run(
-        capsys, "wlud-check", "x^2", "--var", "x", "--at", "0", "--k", "1",
-        "--eps", "1", "--delta", "d", "--samples", "-1",
-    )
-    assert code == 3
-    assert out == ""
-    assert err == "levicivita: error: ValueError: random_offsets must be >= 0, got -1\n"
+    for argv in [
+        ("wlud-check", "x^2", "--var", "x", "--at", "0", "--k", "1", "--eps", "1",
+         "--delta", "d"),
+        ("analyticity", "x^2", "--var", "x", "--at", "0"),
+    ]:
+        code, out, err = run(capsys, *argv, "--samples", "-1")
+        assert code == 3, argv
+        assert out == ""
+        assert err == "levicivita: error: ValueError: --samples must be >= 0, got -1\n"
 
 
 def test_syntax_error_exit_3(capsys):

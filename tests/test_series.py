@@ -167,7 +167,7 @@ def test_termwise_derivative_of_exp_jet():
 def test_termwise_matches_symbolic_oracle(text):
     f = parse_expr(text)
     jet = taylor_jet(f, "x", ZERO, 9)
-    termwise = differentiate_termwise(jet.to_power_series(), 1)
+    termwise = differentiate_termwise(jet, 1)
     oracle = taylor_jet(diff_symbolic(f, "x"), "x", ZERO, 8)
     for mine, ref in zip(termwise.coeffs, oracle.coeffs):
         assert mine.real_part() == pytest.approx(ref.real_part(), rel=1e-10, abs=1e-12)
@@ -176,15 +176,9 @@ def test_termwise_matches_symbolic_oracle(text):
 def test_taylor_jet_is_its_power_series():
     x0 = parse_lc("d")
     jet = taylor_jet(parse_expr("1/(1-x)"), "x", x0, 8)
-    assert isinstance(jet, PowerSeries)
-    assert jet.to_power_series() is jet
-    assert jet.order == jet.jmax == 8
-    plain = PowerSeries(jet.center, jet.coeffs)
-    x = x0 + monomial(2, 0.5)
-    verdict = converges_at(jet, x)
-    assert verdict.verdict is Verdict.CONVERGES
-    assert verdict == converges_at(plain, x)
-    assert recenter(jet, x) == recenter(plain, x)
+    assert type(jet) is PowerSeries
+    assert jet.jmax == 8
+    assert converges_at(jet, x0 + monomial(2, 0.5)).verdict is Verdict.CONVERGES
 
 
 def test_growth_window_default_is_the_last_half():
