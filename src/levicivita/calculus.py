@@ -10,6 +10,12 @@ the probe must not collide with the center's own support.
 Multivariate jets work the same way with multi-index coefficients, giving
 all partials d^alpha f(x0)/alpha! for |alpha| <= k in one evaluation; the
 one-variable jet is their n = 1 case.
+
+At an exactly-known real center every LC operation of the jet is one
+binary64 operation, so the jet runs over floats, as ``eval_lc`` does, with
+results bit-identical to LC arithmetic; if that walk raises or leaves a
+coefficient that is not finite, the LC walk runs and decides.  The two are
+one set of jet loops over two coefficient domains.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from operator import methodcaller
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import series
 from .core import D, INF, LCNumber, ONE, Ordering, ZERO, as_lc, power
@@ -29,7 +36,7 @@ from .errors import (
     OrderTooHighError,
     ZeroDenominatorError,
 )
-from .expr import Expr, eval_lc, evaluate
+from .expr import _FLOAT_WALK_ERRORS, Expr, _float_apply, _float_inv, eval_lc, evaluate
 
 
 @dataclass(frozen=True)
@@ -51,38 +58,88 @@ class PartialJet:
         return self.table[alpha] * scale
 
 
+# -- coefficient domains -------------------------------------------------------
+
+
+class _Domain(NamedTuple):
+    """The scalar hooks of jet arithmetic over one coefficient type.
+
+    The jet loops use ``+ - *`` of the coefficients and these hooks only;
+    ``zero`` is the one coefficient they skip, by identity.
+    """
+
+    zero: object
+    one: object
+    lift: Callable  # a constant, given as its binary64 value
+    inv: Callable
+    sign: Callable  # the Ordering of a value against 0
+    exp: Callable
+    sin_cos: Callable
+    ln: Callable
+    sqrt: Callable
+
+
+def _real_sign(x: float) -> Ordering:
+    if x > 0.0:
+        return Ordering.GREATER
+    if x < 0.0:
+        return Ordering.LESS
+    return Ordering.EQUAL_AT_HORIZON  # 0, and nan, whose jet falls back
+
+
+_LC = _Domain(
+    zero=ZERO, one=ONE, lift=LCNumber.from_real, inv=methodcaller("inv"),
+    sign=methodcaller("compare", ZERO), exp=series.exp, sin_cos=series._sin_cos,
+    ln=series.ln, sqrt=functools.partial(series.nth_root, n=2),
+)
+
+# At exactly-known reals each LC operation of a jet is one binary64
+# operation, as in eval_lc's float walk, whose hooks these are.  Only this
+# 0.0 is skipped: a computed 0.0 still forms its products, which are 0 as
+# in LC unless the other factor is inf or nan.  A value that is not finite
+# reaches the result or a hook and sends the jet to the LC walk, or is
+# dropped (x^0, a skipped zero) where LC drops it too.
+_REAL = _Domain(
+    zero=0.0, one=1.0, lift=float, inv=_float_inv, sign=_real_sign,
+    exp=functools.partial(_float_apply, "exp"),
+    sin_cos=lambda x: (_float_apply("sin", x), _float_apply("cos", x)),
+    ln=functools.partial(_float_apply, "ln"),
+    sqrt=functools.partial(_float_apply, "sqrt"),
+)
+
+
 # -- scaled derivative ladders of the elementary functions ---------------------
 
 
-def _scaled_derivs(name: str, a0: LCNumber, k: int) -> list[LCNumber]:
+def _scaled_derivs(dom: _Domain, name: str, a0, k: int) -> list:
     """[f(a0), f'(a0)/1!, ..., f^(k)(a0)/k!] for an elementary f."""
     if name == "exp":
-        e = series.exp(a0)
+        e = dom.exp(a0)
         return [e * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name in ("sin", "cos"):
-        s, c = series._sin_cos(a0)
+        s, c = dom.sin_cos(a0)
         cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
         return [cycle[n % 4] * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name == "ln":
-        out = [series.ln(a0)]
+        out = [dom.ln(a0)]
         if k:
-            ia = a0.inv()
-            p = ONE
+            ia = dom.inv(a0)
+            p = dom.one
             for n in range(1, k + 1):
                 p = p * ia
                 out.append(p * ((1.0 if n % 2 else -1.0) / n))
         return out
     if name == "sqrt":
-        sign = a0.compare(ZERO)
+        sign = dom.sign(a0)
         if sign is Ordering.EQUAL_AT_HORIZON:
             raise NonJetResultError(
                 "sqrt at a point indistinguishable from 0 has no polynomial jet"
             )
         if sign is Ordering.LESS:
             raise NotPositiveError("sqrt of a negative value")
-        out = [series.nth_root(a0, 2)]
+        out = [dom.sqrt(a0)]
         if k:
-            ia = a0.inv()
+            ia = dom.inv(a0)
             cur = out[0]
             for n in range(1, k + 1):
                 cur = cur * ia * ((0.5 - (n - 1)) / n)
@@ -151,72 +208,78 @@ def _layout(n: int, k: int) -> _Layout:
 class _Jet:
     """A truncated Taylor polynomial in n formal increments (dense, graded).
 
-    With n = 1 the tables reduce to the triangular loops of univariate jet
-    arithmetic, in the same operation order.
+    The coefficients belong to one domain: LCNumbers, or floats at an
+    exactly-known real point.  With n = 1 the tables reduce to the
+    triangular loops of univariate jet arithmetic, in the same operation
+    order.
     """
 
-    __slots__ = ("layout", "c")
+    __slots__ = ("layout", "c", "dom")
 
-    def __init__(self, layout: _Layout, c: list[LCNumber]):
+    def __init__(self, layout: _Layout, c: list, dom: _Domain):
         self.layout = layout
         self.c = c
+        self.dom = dom
 
     @classmethod
-    def constant(cls, value: LCNumber, layout: _Layout) -> "_Jet":
-        return cls(layout, [value] + [ZERO] * (len(layout.indices) - 1))
+    def constant(cls, value, layout: _Layout, dom: _Domain) -> "_Jet":
+        return cls(layout, [value] + [dom.zero] * (len(layout.indices) - 1), dom)
 
     @classmethod
-    def variable(cls, x0: LCNumber, index: int, layout: _Layout) -> "_Jet":
-        jet = cls.constant(x0, layout)
+    def variable(cls, x0, index: int, layout: _Layout, dom: _Domain) -> "_Jet":
+        jet = cls.constant(x0, layout, dom)
         if layout.k >= 1:
             unit = tuple(int(i == index) for i in range(layout.n))
-            jet.c[layout.indices.index(unit)] = ONE
+            jet.c[layout.indices.index(unit)] = dom.one
         return jet
 
     def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.layout, [a + b for a, b in zip(self.c, other.c)])
+        return _Jet(self.layout, [a + b for a, b in zip(self.c, other.c)], self.dom)
 
     def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.layout, [a - b for a, b in zip(self.c, other.c)])
+        return _Jet(self.layout, [a - b for a, b in zip(self.c, other.c)], self.dom)
 
     def __neg__(self) -> "_Jet":
-        return _Jet(self.layout, [-a for a in self.c])
+        return _Jet(self.layout, [-a for a in self.c], self.dom)
 
     def __mul__(self, other: "_Jet") -> "_Jet":
         # Only exact zeros are skipped: a coefficient with no visible terms
         # but a finite horizon still bounds the horizon of its products.
-        out = [ZERO] * len(self.c)
+        zero = self.dom.zero
+        out = [zero] * len(self.c)
         b = other.c
         for a, row in zip(self.c, self.layout.mul):
-            if a is ZERO:
+            if a is zero:
                 continue
             for q, r in row:
                 bq = b[q]
-                if bq is not ZERO:
-                    s = out[r]
-                    out[r] = s + a.__mul__(bq, s)
-        return _Jet(self.layout, out)
+                if bq is not zero:
+                    out[r] = out[r] + a * bq
+        return _Jet(self.layout, out, self.dom)
 
     def __pow__(self, n: int) -> "_Jet":
-        return power(self, n, _Jet.constant(ONE, self.layout))
+        return power(self, n, _Jet.constant(self.dom.one, self.layout, self.dom))
 
     def inv(self) -> "_Jet":
+        dom = self.dom
+        zero = dom.zero
         a = self.c
-        b0 = a[0].inv()
+        b0 = dom.inv(a[0])
         b = [b0]
         for row in self.layout.inv[1:]:
-            s = ZERO
+            s = zero
             for p, q in row:
                 ap, bq = a[p], b[q]
-                if ap is not ZERO and bq is not ZERO:
-                    s = s + ap.__mul__(bq, s)
+                if ap is not zero and bq is not zero:
+                    s = s + ap * bq
             b.append(-(b0 * s))
-        return _Jet(self.layout, b)
+        return _Jet(self.layout, b, dom)
 
-    def compose(self, derivs: list[LCNumber]) -> "_Jet":
+    def compose(self, derivs: list) -> "_Jet":
         # Horner in the nilpotent part g = self - a0.
-        g = _Jet(self.layout, [ZERO] + self.c[1:])
-        result = _Jet.constant(derivs[-1], self.layout)
+        dom = self.dom
+        g = _Jet(self.layout, [dom.zero] + self.c[1:], dom)
+        result = _Jet.constant(derivs[-1], self.layout, dom)
         for d in reversed(derivs[:-1]):
             result = result * g
             result.c[0] = result.c[0] + d
@@ -224,7 +287,7 @@ class _Jet:
 
     def apply(self, name: str) -> "_Jet":
         if name == "abs":
-            sign = self.c[0].compare(ZERO)
+            sign = self.dom.sign(self.c[0])
             if sign is Ordering.GREATER:
                 return self
             if sign is Ordering.LESS:
@@ -232,14 +295,19 @@ class _Jet:
             raise NonJetResultError(
                 "abs at a point indistinguishable from 0 has no polynomial jet"
             )
-        return self.compose(_scaled_derivs(name, self.c[0], self.layout.k))
+        return self.compose(_scaled_derivs(self.dom, name, self.c[0], self.layout.k))
 
 
 # -- public operations -----------------------------------------------------------
 
 
 def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumber]:
-    """Coefficients of f's jet at center, in the graded order of _layout."""
+    """Coefficients of f's jet at center, in the graded order of _layout.
+
+    At an exactly-known real center the jet runs in binary64, bit-identical
+    to LC arithmetic; if that walk raises or leaves a coefficient that is
+    not finite, the LC walk runs, and its value or exception is the answer.
+    """
     if k < 0:
         raise ValueError("jet order must be >= 0")
     # A center only known below exponent h cannot support k+1 distinguishable
@@ -251,13 +319,28 @@ def _jet_at(f: Expr, names: Sequence[str], center: tuple, k: int) -> list[LCNumb
                 f"jet order {k} needs center horizon >= {k + 1}, have {h}"
             )
     layout = _layout(len(names), k)
+    point = [c.exact_real() for c in center]
+    if None not in point:
+        try:
+            coeffs = _walk(f, names, point, layout, _REAL)
+        except _FLOAT_WALK_ERRORS:
+            pass  # the LC walk decides what is raised
+        else:
+            if all(map(math.isfinite, coeffs)):
+                return [LCNumber.from_real(c) for c in coeffs]
+    return _walk(f, names, center, layout, _LC)
+
+
+def _walk(f: Expr, names: Sequence[str], center, layout: _Layout, dom: _Domain) -> list:
+    """The coefficients of f's jet at center over the domain dom."""
     env = {
-        name: _Jet.variable(c, i, layout) for i, (name, c) in enumerate(zip(names, center))
+        name: _Jet.variable(c, i, layout, dom)
+        for i, (name, c) in enumerate(zip(names, center))
     }
     return evaluate(
         f,
         env,
-        lambda c: _Jet.constant(LCNumber.from_real(c), layout),
+        lambda c: _Jet.constant(dom.lift(c), layout, dom),
         lambda name, jet: jet.apply(name),
     ).c
 

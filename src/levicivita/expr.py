@@ -644,21 +644,28 @@ def evaluate(
 
 # The binary64 domain.  At exactly-known reals every LC operation is one
 # binary64 operation on the single coefficient, so these hooks copy what
-# LCNumber does, and they raise, or leave a nan that reaches the result,
-# wherever it differs: LCNumber.inv rejects a non-finite reciprocal,
-# nth_root rejects 0, and 0 * inf is an exact zero in LC but nan here.
+# LCNumber does, and they raise wherever a finite result could differ:
+# LCNumber.inv rejects a non-finite reciprocal, nth_root rejects 0, and the
+# LC functions raise on an inf that binary64 may map back to a finite value
+# (1/inf, exp(-inf)), so every hook rejects a nan or inf argument.  Sums and
+# products raise in neither domain; 0 * inf is an exact zero in LC but nan
+# here, and that nan reaches the result or a hook, or is dropped where LC
+# drops the zero too (x^0).
+
+#: What a binary64 walk may raise; the LC walk then decides the outcome.
+_FLOAT_WALK_ERRORS = (ArithmeticError, ValueError, LCError, TypeError)
 
 
 def _float_inv(y: float) -> float:
     r = 1.0 / y  # ZeroDivisionError at 0, as LCNumber.inv
-    if not math.isfinite(r):
-        raise OverflowError("non-finite reciprocal")
+    # 0 exactly when y is infinite, nan when y is: 1/y of a finite y is
+    # never 0 and never nan
+    if not 0.0 < abs(r) < INF:
+        raise OverflowError("non-finite reciprocal or argument")
     return r
 
 
 def _float_power(x: float, n: int) -> float:
-    if n == 0 and x != x:
-        return x  # a nan must still reach the result
     return power(x, n, 1.0, _float_inv)
 
 
@@ -669,7 +676,7 @@ def _float_sqrt(x: float) -> float:
 
 
 _FLOAT_FUNCTIONS = {
-    "exp": math.exp,
+    "exp": math.exp,  # OverflowError past 709.78, where series.exp raises
     "ln": math.log,  # ValueError at x <= 0, where series.ln raises
     "sin": math.sin,
     "cos": math.cos,
@@ -679,6 +686,9 @@ _FLOAT_FUNCTIONS = {
 
 
 def _float_apply(name: str, x: float) -> float:
+    """The expression function ``name`` at the finite float x."""
+    if not math.isfinite(x):
+        raise OverflowError(f"{name} of a non-finite value")
     return _FLOAT_FUNCTIONS[name](x)
 
 
@@ -699,7 +709,7 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     else:
         try:
             value = evaluate(e, point, float, _float_apply, _float_inv, _float_power)
-        except (ArithmeticError, ValueError, LCError, TypeError):
+        except _FLOAT_WALK_ERRORS:
             pass  # the LC walk decides what is raised
         else:
             if math.isfinite(value):

@@ -12,11 +12,12 @@ context.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     INF,
@@ -56,6 +57,14 @@ class PowerSeries:
     @property
     def jmax(self) -> int:
         return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def _tail_least(self) -> list[Valuation]:
+        """[m]: the least exponent the last m coefficients can hold."""
+        tail = [INF]
+        for a in reversed(self.coeffs):
+            tail.append(min(_least(a), tail[-1]))
+        return tail
 
     def __str__(self):
         c = format_lc(self.center)
@@ -136,10 +145,11 @@ def sum_at(s: PowerSeries, x: LCNumber, window: Optional[int] = None) -> LCNumbe
         raise NotConvergentError(
             f"series does not converge at this point (gap {verdict.gap})"
         )
-    return _taylor_sum(s.coeffs, x - s.center)
+    return _taylor_sum(s, x - s.center)
 
 
-def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
+def _taylor_sum(s: PowerSeries, delta: LCNumber) -> LCNumber:
+    coeffs = s.coeffs
     acc = ZERO
     power = ONE
     for j, a in enumerate(coeffs):
@@ -150,9 +160,10 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
         # is empty; an empty term still lowers the sum's horizon to its own
         if term or term.horizon < acc.horizon:
             acc = acc + term
-        elif delta.valuation() >= 0 and _least(power) + min(
-            (_least(b) for b in coeffs[j + 1 :]), default=INF
-        ) >= acc.horizon:
+        elif (
+            delta.valuation() >= 0
+            and _least(power) + s._tail_least[len(coeffs) - j - 1] >= acc.horizon
+        ):
             # With lambda(delta) >= 0 the valuations of the powers only rise
             # and the horizon of acc only falls, so no later term is visible.
             break
@@ -161,7 +172,7 @@ def _taylor_sum(coeffs: Sequence[LCNumber], delta: LCNumber) -> LCNumber:
 
 def _least(x: LCNumber) -> Valuation:
     """The least exponent x can hold: its first term's, else its horizon."""
-    return min(x.valuation(), x.horizon)
+    return x.valuation() if x else x.horizon
 
 
 def differentiate_termwise(s: PowerSeries, j: int) -> PowerSeries:

@@ -386,7 +386,7 @@ def analyticity_certificate_1d(
                 fy = fvals[idx]
                 inc = y - x
                 cap = _working_horizon(fy)
-                yield x, y, fy, _taylor_sum(series_x.coeffs, inc.truncate(cap)), (inc,)
+                yield x, y, fy, _taylor_sum(series_x, inc.truncate(cap)), (inc,)
 
     return _certify(x0, pj, jmax, kmax, window, entries, interval_identity)
 

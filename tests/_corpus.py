@@ -17,6 +17,9 @@ CORPUS_30 = [
     "x^3*exp(x)", "exp(sin(x))", "sin(exp(x)-1)", "(1+x^2)*cos(x)", "exp(x)*ln(1+x)",
 ]
 
+#: Criterion 3's points.
+BASE_POINTS = [Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(1), Fraction(-1, 2)]
+
 
 def field_suite_number(rng: random.Random, max_terms: int = 8) -> LCNumber:
     """Exponent denominators <= 6 in [-5, 5], dyadic coefficients, horizon 32."""

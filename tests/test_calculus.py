@@ -293,7 +293,9 @@ def test_jet_of_deeply_nested_calls():
     assert jet.coeffs == (LCNumber.from_real(2), ONE)
 
 
-def test_jet_evaluates_each_shared_node_once(monkeypatch):
+@pytest.mark.parametrize("x0", [F(1, 2), F(1, 2) + D], ids=["real", "multi-term"])
+def test_jet_evaluates_each_shared_node_once(monkeypatch, x0):
+    # the binary64 jet at a real centre and the LC jet alike
     # diff_symbolic chains are DAGs; a tree walk would redo shared subtrees
     f = parse_expr("exp(sin(x))")
     for _ in range(6):
@@ -310,7 +312,7 @@ def test_jet_evaluates_each_shared_node_once(monkeypatch):
         return scaled_derivs(*args)
 
     monkeypatch.setattr(calculus, "_scaled_derivs", counting)
-    taylor_jet(f, "x", 0.5, 2)
+    taylor_jet(f, "x", x0, 2)
     assert len(calls) == applies
 
 

@@ -8,12 +8,16 @@ intended, rewrite the file from the current code with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and say why in the
 change log.  ``PYTHONPATH=src python tests/test_cli_golden.py --check``
 compares every case without pytest, so any installed Python can run it; it
-exits 1 on a mismatch and never rewrites the file.
+exits 1 on a mismatch and never rewrites the file.  The suite runs that
+check under every pyenv Python 3.10 to 3.13 it finds, since the binary64
+code paths must print the same bytes on each.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,3 +60,25 @@ def test_json_output_is_byte_stable(capsys, case):
     assert captured.err == ""
     assert code == case["exit"]
     assert captured.out == case["stdout"]
+
+
+#: The pyenv interpreters the byte check runs under, one per installed version.
+OTHER_PYTHONS = sorted(Path.home().glob(".pyenv/versions/3.1[0-3]*/bin/python3"))
+
+
+@pytest.mark.parametrize(
+    "python",
+    OTHER_PYTHONS
+    or [pytest.param(None, marks=pytest.mark.skip(reason="no pyenv Python 3.10-3.13"))],
+    ids=lambda python: python.parent.parent.name if python else "none",
+)
+def test_check_passes_under_each_pyenv_python(python):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run(
+        [str(python), __file__, "--check"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

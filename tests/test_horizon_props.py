@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import levicivita
 from levicivita import INF, LCNumber, parse_expr, partial_jet
-from levicivita.calculus import _Jet, _layout, partial_taylor_sums
+from levicivita.calculus import _LC, _Jet, _layout, partial_taylor_sums
 from levicivita.core import _horizon_pair, _on_grid
 
 #: Run times on a shared machine vary too much for a per-example deadline.
@@ -230,8 +230,8 @@ def test_capped_sums_build_no_fraction():
         LCNumber([(F(j, 2), 1.0 + j), (F(j + 3, 3), -0.5)], F(40 - j, 4))
         for j in range(len(layout.indices))
     ]
-    jet = _Jet(layout, coeffs)
-    other = _Jet(layout, coeffs[::-1])
+    jet = _Jet(layout, coeffs, _LC)
+    other = _Jet(layout, coeffs[::-1], _LC)
     assert _fractions_built(lambda: jet * other) == 0
     # core's own inv of the multi-term constant term builds none either
     assert _fractions_built(jet.inv) == 0

@@ -482,14 +482,15 @@ def test_taylor_sum_equals_a_sum_of_every_term(coeffs, delta, h):
     # negative valuation has falling valuations and sums every term
     coeffs = [LCNumber(t, h) for t in coeffs]
     delta = LCNumber(delta, h)
-    assert _taylor_sum(coeffs, delta) == _ref_taylor_sum(coeffs, delta)
+    assert _taylor_sum(PowerSeries(ZERO, tuple(coeffs)), delta) == _ref_taylor_sum(coeffs, delta)
 
 
 def test_taylor_sum_keeps_the_horizon_of_a_term_that_shows_nothing():
     # a_1 has no visible term but horizon 5, so a_1 * d is known only below d^6
     unknown = LCNumber([], 5)
-    assert _taylor_sum([ONE, unknown], D) == ONE + unknown * D
-    assert _taylor_sum([ONE, unknown], D).horizon == 6
+    total = _taylor_sum(PowerSeries(ZERO, (ONE, unknown)), D)
+    assert total == ONE + unknown * D
+    assert total.horizon == 6
     s = PowerSeries(ZERO, (ONE, unknown, ONE))
     assert sum_at(s, D) == LCNumber([(0, 1.0), (2, 1.0)], 6)
 
@@ -498,15 +499,15 @@ def test_taylor_sum_reads_an_empty_step_by_its_horizon():
     # delta shows nothing below d^5: its powers bound later terms by their
     # horizons, and d^-10 * delta^2 is known only below d^0, so the sum is
     # known nowhere at or above d^0, not even its leading 1
-    coeffs = [ONE, LCNumber([]), monomial(-10)]
-    assert _taylor_sum(coeffs, LCNumber([], 5)) == LCNumber([], 0)
+    s = PowerSeries(ZERO, (ONE, LCNumber([]), monomial(-10)))
+    assert _taylor_sum(s, LCNumber([], 5)) == LCNumber([], 0)
 
 
 def test_taylor_sum_with_falling_valuations_sums_past_an_invisible_term():
     # lambda(delta) < 0: the powers' valuations fall, so the invisible d^4
     # of j = 1 does not end the sum before the visible d^3 of j = 2
-    coeffs = [LCNumber([(0, 1.0)], 4), monomial(5), monomial(5)]
-    assert _taylor_sum(coeffs, monomial(-1)) == LCNumber([(0, 1.0), (3, 1.0)], 4)
+    s = PowerSeries(ZERO, (LCNumber([(0, 1.0)], 4), monomial(5), monomial(5)))
+    assert _taylor_sum(s, monomial(-1)) == LCNumber([(0, 1.0), (3, 1.0)], 4)
 
 
 def test_elementary_multiplication_counts(monkeypatch):
