@@ -34,7 +34,10 @@ Internally a number lives on one integer grid: a denominator ``_den``, the
 exponents as integers on it, and the horizon as an integer ``_h`` on it
 (``None`` when infinite), reduced so the grid is the coarsest that holds them
 all.  Sums, products, caps, comparisons and truncations are pure machine-int
-loops; a cap is put onto the product grid once.  Two exact one-term numbers
+loops; a cap is put onto the product grid once.  The power series in an
+infinitesimal u behind ``inv`` and the elementary functions of ``series``
+are formed on the grid too, one coefficient at a time, by
+``_power_series``.  Two exact one-term numbers
 skip the loops: their product under an infinite cap is one float multiply
 and their sum at one exponent one float add, with the same bits.  A number
 holds its grid and nothing else, so each read of ``horizon``,
@@ -567,21 +570,25 @@ class LCNumber:
     def inv(self) -> "LCNumber":
         """Multiplicative inverse, exact up to horizon h(x) - 2*lambda(x).
 
-        Factors the leading monomial a*d^q and sums the geometric series of
-        the infinitesimal remainder.  An exactly-known multi-term input
-        would need infinitely many terms, so its inverse is truncated at the
-        default horizon.
+        Factors the leading monomial, x = a*d^q*(1 + u), and takes 1/(1 + u)
+        in one pass by the recurrence c_e = -sum(u_k * c_(e-k)) of
+        ``_power_series`` (J. C. P. Miller's rule; Brent and Kung, J. ACM
+        25, 1978), at a cost of O(output terms x terms of u).  It
+        divides nothing, so a dyadic input has an exact inverse.  An
+        exactly-known multi-term input would need infinitely many terms, so
+        its inverse is truncated at the default horizon.
         """
         items, den, h = self._iterms, self._den, self._h
         if not items:
             raise ZeroDivisionError("inverse of a value with no visible terms")
         q, a = items[0]
-        if len(items) == 1:
-            c = 1.0 / a
-            if not math.isfinite(c):
+        c = 1.0 / a
+        for value, e in ((a, q), (c, -q)):  # an inf a has the reciprocal 0.0
+            if not math.isfinite(value):
                 raise ValueError(
-                    f"non-finite coefficient {c!r} at exponent {Fraction(-q, den)}"
+                    f"non-finite coefficient {value!r} at exponent {Fraction(e, den)}"
                 )
+        if len(items) == 1:
             h = None if h is None else h - 2 * q
             return LCNumber._from_grid(den, h, ((-q, c),))
         if h is not None:
@@ -590,15 +597,11 @@ class LCNumber:
             dh = default_horizon()
             grid, target = _on_grid(dh.numerator, dh.denominator, den)
             q *= grid // den
-        # u is known up to the horizon in the d^q-factored frame, which caps
-        # the geometric series too
-        neg_u = -self._unit_part(target + q, grid)
-        total = ONE
-        power = neg_u
-        while power._iterms:
-            total = total + power
-            power = power.__mul__(neg_u, neg_u)
-        return total._monomial_mul(1.0 / a, -q, grid, target)
+        # u is known up to the horizon in the d^q-factored frame, which is
+        # where the series stops too
+        u = self._unit_part(target + q, grid)
+        inverse = _power_series("pow", u, target + q, grid, alpha=-1.0)
+        return inverse._monomial_mul(c, -q, grid, target)
 
     def _unit_part(self, limit, den: int = 1) -> "LCNumber":
         """u in self = a*d^q*(1 + u), known up to limit/den <= h(self) - q.
@@ -727,6 +730,71 @@ class LCNumber:
 _set_den = LCNumber._den.__set__
 _set_iterms = LCNumber._iterms.__set__
 _set_h = LCNumber._h.__set__
+
+
+def _power_series(f: str, u: LCNumber, limit, den: int = 1, alpha: float = 0.0):
+    """f(u) for an infinitesimal u, up to its horizon limit/den.
+
+    ``f`` is "exp", "ln" for ln(1 + u), "pow" for (1 + u)^alpha, or
+    "sincos" for the pair (sin u, cos u).  Every exponent of f(u) is a sum
+    of exponents of u, so the result is sum(c_e * d^e) over the additive
+    closure of supp(u) below the limit, e = 0 first.  Each c_e is one dot
+    product over the terms u_k * d^k of u, in ascending e (J. C. P.
+    Miller's rule, Knuth, TAOCP vol. 2, 4.7; Brent and Kung, J. ACM 25,
+    1978):
+
+        exp:     e*c_e = sum(k * u_k * c_(e-k))
+        pow:     e*c_e = sum((alpha*k - (e-k)) * u_k * c_(e-k))
+        ln:      e*c_e = e*u_e - sum((e-k) * u_k * c_(e-k)),  c_0 = 0
+        sin/cos: e*S_e = sum(k * u_k * C_(e-k)),  e*C_e = -sum(k * u_k * S_(e-k))
+
+    Each weight is a*k/e + b, and sin/cos is exp of i*u over complex
+    coefficients, C + i*S, whose products by i are exact.  With alpha = -1
+    every weight is exactly -1, so 1/(1 + u) divides nothing.  The cost is
+    O(output terms x terms of u), and no term past the limit is formed.
+    """
+    grid, h = _on_grid(limit.numerator, limit.denominator * den, u._den)
+    m = grid // u._den
+    ks, us = [], []
+    for k, c in u._iterms:
+        k *= m
+        if k >= h:
+            break  # the terms are sorted
+        ks.append(k)
+        us.append(c)
+    a, b = (alpha + 1.0, -1.0) if f == "pow" else (1.0, -1.0) if f == "ln" else (1.0, 0.0)
+    if f == "sincos":
+        us = [1j * c for c in us]
+    first = dict(zip(ks, us)) if f == "ln" else {}  # the u_e of ln
+    exps, cs = [0], [0.0 if f == "ln" else 1.0]
+    # The closure in ascending order is a merge of the rows exps + k, one
+    # per term of u: row i stands at exps[at[i]], and nxt[i] is its next
+    # exponent.  The rows that reach e are the terms with e - k in the
+    # closure, so they are the terms of e's dot product.
+    rows = list(zip(range(len(ks)), ks, us, [a * k for k in ks]))
+    at = [0] * len(ks)
+    nxt = ks[:]
+    while nxt:
+        e = min(nxt)
+        if e >= h:
+            break
+        exps.append(e)
+        s = first.get(e, 0.0)
+        for i, k, uk, ak in rows:
+            if k > e:
+                break  # the rows are sorted, and each lies above its k
+            if nxt[i] == e:
+                p = at[i]
+                s += (ak / e + b) * uk * cs[p]
+                at[i] = p + 1
+                nxt[i] = exps[p + 1] + k
+        cs.append(s)
+    if f == "sincos":
+        return (
+            _number(grid, h, [(e, c.imag) for e, c in zip(exps, cs) if c.imag != 0.0]),
+            _number(grid, h, [(e, c.real) for e, c in zip(exps, cs) if c.real != 0.0]),
+        )
+    return _number(grid, h, [(e, c) for e, c in zip(exps, cs) if c != 0.0])
 
 
 def monomial(exponent, coefficient: Scalar = 1.0, horizon: Valuation = INF) -> LCNumber:

@@ -30,6 +30,7 @@ from .core import (
     default_horizon,
     format_lc,
     monomial,
+    _power_series,
 )
 from .errors import (
     DomainError,
@@ -219,13 +220,15 @@ def recenter(
 
 # -- elementary functions ----------------------------------------------------
 #
-# Each function splits off the infinitesimal part u and sums a classical
-# series in it.  Every exponent of u is positive, so the valuation of term j
-# is at least j * lambda(u): the valuations rise strictly, and a coefficient
-# of a term below the working horizon depends only on coefficients of the
-# previous term below it.  ``steps`` therefore cuts each term at the working
-# horizon and ends each series exactly at its first empty term; every later
-# term would be empty too, so there is no tuning constant.  An exactly-known
+# Each function splits off the real part or the leading factor, leaving an
+# infinitesimal u = sum(u_k * d^k), and takes its classical series in u from
+# ``core._power_series``.  That routine forms the coefficient c_e of the
+# result once for each sum e of exponents of u below the working horizon,
+# in ascending order, as a dot product over the terms of u: the one-pass
+# recurrence e*c_e = sum(k * u_k * c_(e-k)) for exp, and its like for ln,
+# sin/cos and (1 + u)^alpha (J. C. P. Miller's rule, Knuth, TAOCP vol. 2,
+# 4.7; Brent and Kung, J. ACM 25, 1978).  A call costs O(output terms x
+# terms of u), with no tuning constant.  An exactly-known
 # (infinite-horizon) input with a nonzero infinitesimal part would need
 # endless work, so those series are cut at the default horizon.
 
@@ -233,24 +236,6 @@ def recenter(
 def _working_horizon(x: LCNumber) -> Valuation:
     h = x.horizon
     return h if h != INF else default_horizon()
-
-
-def steps(u: LCNumber, ratio, limit: Valuation):
-    """Terms t_j = t_(j-1) * u * ratio(j) for j >= 1, from t_0 = 1.
-
-    A ``None`` ratio yields the powers u^j.  Each term is cut at ``limit``,
-    and the generator returns at the first term that is then empty.
-    """
-    term = ONE
-    j = 1
-    while True:
-        term = term.__mul__(u, limit)
-        if ratio is not None:
-            term = term * ratio(j)
-        if not term:
-            return
-        yield term
-        j += 1
 
 
 def exp(x) -> LCNumber:
@@ -262,27 +247,21 @@ def exp(x) -> LCNumber:
     i = x.infinitesimal_part()
     if not i:
         return LCNumber.from_real(math.exp(r), x.horizon)
-    limit = _working_horizon(x)
-    terms = steps(i, lambda j: 1.0 / j, limit)
-    acc = sum(terms, ONE.truncate(limit))
+    acc = _power_series("exp", i, _working_horizon(x))
     return acc * math.exp(r) if r != 0.0 else acc
 
 
 def ln(x) -> LCNumber:
     """ln of a finite positive argument: ln(a0) + sum((-1)^(j+1) u^j / j)."""
     x = as_lc(x)
-    terms = x.terms
-    if not terms or terms[0][0] != 0 or terms[0][1] <= 0:
+    a0 = x.real_part()
+    if not x or x.valuation() != 0 or a0 <= 0:
         raise DomainError("ln requires a finite argument with positive real part")
-    a0 = terms[0][1]
-    if len(terms) == 1:
+    if not x.infinitesimal_part():
         return LCNumber.from_real(math.log(a0), x.horizon)
     limit = _working_horizon(x)
     u = x._unit_part(limit)
-    acc = LCNumber.from_real(math.log(a0), limit)
-    for j, power in enumerate(steps(u, None, limit), start=1):
-        acc = acc + power * ((1.0 if j % 2 else -1.0) / j)
-    return acc
+    return LCNumber.from_real(math.log(a0), limit) + _power_series("ln", u, limit)
 
 
 def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
@@ -294,16 +273,7 @@ def _sin_cos(x: LCNumber) -> tuple[LCNumber, LCNumber]:
     if not i:
         h = x.horizon
         return LCNumber.from_real(sr, h), LCNumber.from_real(cr, h)
-    limit = _working_horizon(x)
-    cos_i = ONE.truncate(limit)
-    sin_i = ZERO
-    terms = steps(i, lambda k: 1.0 / k, limit)
-    for k, term in enumerate(terms, start=1):
-        signed = term if (k // 2) % 2 == 0 else -term
-        if k % 2:
-            sin_i = sin_i + signed
-        else:
-            cos_i = cos_i + signed
+    sin_i, cos_i = _power_series("sincos", i, _working_horizon(x))
     return (cos_i * sr + sin_i * cr, cos_i * cr - sin_i * sr)
 
 
@@ -354,8 +324,6 @@ def nth_root(x, n: int) -> LCNumber:
         return monomial(shift, lead, h if h == INF else h - q + shift)
     limit = _working_horizon(x) - q  # horizon in the d^q-factored frame
     u = x._unit_part(limit)
-    alpha = 1.0 / n
-    terms = steps(u, lambda j: (alpha - (j - 1)) / j, limit)
-    acc = sum(terms, ONE.truncate(limit))
+    acc = _power_series("pow", u, limit, alpha=1.0 / n)
     # acc's horizon is limit, and the root's is limit moved by the shift
     return acc._scaled(lead, shift)

@@ -53,7 +53,12 @@ def _profiled_names() -> list:
     return sorted(names | _string_lookups())
 
 
-PROFILED = _profiled_names()
+#: Names that bench/layers.py still reads but the library deleted on purpose,
+#: each kept out of the lookups above until the benchmark's own files change:
+#: ``steps``, the term generator of the elementary series, gave way to the
+#: one-pass recurrences in ``core``.
+RETIRED = [("series", "steps")]
+PROFILED = [name for name in _profiled_names() if name not in RETIRED]
 
 
 def test_lookups_cover_the_entry_points():
@@ -68,6 +73,12 @@ def test_profiled_function_is_defined(layer, name):
         assert name in vars(fractions.Fraction)
     else:
         assert name in _defs(layer)
+
+
+@pytest.mark.parametrize("layer, name", RETIRED, ids=[f"{l}.{n}" for l, n in RETIRED])
+def test_retired_name_is_gone(layer, name):
+    # a retired name that came back would be a lookup this file skips
+    assert name not in _defs(layer)
 
 
 def _direct_calls(fn: ast.FunctionDef) -> set:
@@ -125,5 +136,4 @@ def test_every_series_multiplication_is_charged_to_an_elementary_body():
         for caller in row[4]
         if layer_of(caller[0]) == "series"
     }
-    assert "steps" in callers
     assert callers <= set(LAYERS["ELEMENTARY_BODIES"])

@@ -296,6 +296,12 @@ def test_eval_product_overflow_exit_3(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_reciprocal_of_an_overflowed_square_exit_3(capsys):
+    code, _, err = run(capsys, "eval", "(x*x)^-1", "--at", "x=1e200")
+    assert code == 3
+    assert err == "levicivita: error: ValueError: non-finite coefficient inf at exponent 0\n"
+
+
 def test_deep_parentheses_exit_0(capsys):
     text = "(" * 600 + "x" + ")" * 600
     code, out, err = run(capsys, "eval", text, "--at", "x=1")

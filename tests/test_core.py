@@ -80,6 +80,14 @@ def test_real_entry_points_reject_non_finite(make, value):
         make(value)
 
 
+def test_inverse_of_an_infinite_coefficient_raises():
+    # 1/inf is 0.0, which would sit in the inverse as a term of coefficient 0
+    big = LCNumber.from_real(1e200) ** 2
+    for x in (big, big + D):
+        with pytest.raises(ValueError, match="non-finite coefficient inf at exponent 0"):
+            x.inv()
+
+
 # -- add / neg -------------------------------------------------------------------
 
 

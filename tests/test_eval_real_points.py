@@ -53,7 +53,7 @@ EDGE_EXPRS = [parse_expr(t) for t in (
     "exp((x - x)*(x*x) + 1000)^0",
     # at large x, LC raises on ln and sqrt of x*x = inf, binary64 gets 1/inf
     "1/ln(x*x)", "1/sqrt(x*x)",
-    # LC's reciprocal of inf is a term with coefficient 0, not the zero
+    # at large x, LC raises on the reciprocal of x*x = inf, binary64 gets 0
     "(x*x)^-1",
 )]
 EDGE_POINTS = st.one_of(
@@ -68,6 +68,12 @@ EDGE_POINTS = st.one_of(
 def test_edges_match_lc_walk(e, x):
     env = {"x": LCNumber.from_real(x)}
     assert outcome(eval_lc, e, env) == outcome(lc_walk, e, env)
+
+
+def test_reciprocal_of_an_overflowed_square_raises():
+    env = {"x": LCNumber.from_real(1e200)}
+    with pytest.raises(ValueError, match="non-finite coefficient inf at exponent 0"):
+        eval_lc(parse_expr("(x*x)^-1"), env)
 
 
 def test_finite_horizon_real_takes_lc_walk():
