@@ -30,7 +30,7 @@ from operator import index, methodcaller
 from typing import Callable, Mapping, Union
 
 from . import series
-from .core import INF, LCNumber, default_horizon, power
+from .core import INF, LCNumber, as_lc, default_horizon, power
 from .errors import (
     LCError,
     LCSyntaxError,
@@ -46,8 +46,8 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 #
 # Every node is interned: constructing a node equal to a live one returns
 # that object, so each distinct subexpression is one object.  Equality and
-# hashing are identity (object's own), O(1) and never recursive, and the
-# per-node memos of evaluate and diff_symbolic see every repeated subtree.
+# hashing are identity (object's own), O(1) and never recursive, and
+# evaluate's plans and diff_symbolic's memo see every repeated subtree.
 # The table holds its nodes weakly; a node no longer referenced leaves it.
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -57,7 +57,7 @@ _NODES_LOCK = threading.Lock()
 class _Node:
     """Base of the node classes: interning, immutability, copy and pickle."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_plan")
 
     @classmethod
     def _intern(cls, *fields):
@@ -85,19 +85,10 @@ class _Node:
         return self
 
     def __reduce__(self):
-        # A flat encoding at any depth: the postorder of the DAG, each node
-        # as its class and fields, an operand as a 1-tuple holding its
-        # position there (no field is a tuple).  Loading rebuilds through
+        # A flat encoding at any depth: the plan that evaluate runs, whose
+        # rows hold operand positions and no node.  Loading rebuilds through
         # the constructors, which return the interned nodes.
-        position: dict[_Node, int] = {}
-        rows = []
-        for node in _postorder(self):
-            position[node] = len(rows)
-            fields = (getattr(node, name) for name in node.__match_args__)
-            rows.append((type(node), tuple(
-                (position[f],) if isinstance(f, _Node) else f for f in fields
-            )))
-        return _unpickle, (tuple(rows),)
+        return _unpickle, (_plan_of(self),)
 
     def __repr__(self):
         def render(node, take):
@@ -173,10 +164,51 @@ class Apply(_Node):
 Expr = Union[RationalConst, Variable, Add, Sub, Mul, Div, IntPow, Apply]
 
 
-def _unpickle(rows) -> Expr:
+def _plan_of(root: Expr) -> tuple:
+    """root's distinct nodes in _postorder, as rows (kind, a, b) that hold no
+    node: a and b are the operands' positions for Add, Sub, Mul and Div;
+    IntPow holds (base position, exponent), Apply (argument position, name),
+    RationalConst (value, None) and Variable (name, None).  Built on root's
+    first evaluation (or pickling) and kept in its _plan slot, so it is
+    freed with root."""
+    try:
+        return root._plan
+    except AttributeError:  # not built yet, or not a node
+        if not isinstance(root, _Node):
+            raise TypeError(f"not an expression node: {root!r}") from None
+    position: dict[_Node, int] = {}
+    rows = []
+    for node in _postorder(root):
+        kind = type(node)
+        if kind is RationalConst:
+            row = (kind, node.value, None)
+        elif kind is Variable:
+            row = (kind, node.name, None)
+        elif kind is IntPow:
+            row = (kind, position[node.base], node.exponent)
+        elif kind is Apply:
+            row = (kind, position[node.arg], node.func)
+        else:
+            row = (kind, position[node.left], position[node.right])
+        position[node] = len(rows)
+        rows.append(row)
+    plan = tuple(rows)
+    object.__setattr__(root, "_plan", plan)  # threads racing here build equal plans
+    return plan
+
+
+def _unpickle(plan) -> Expr:
+    """The root of a plan, rebuilt through the constructors."""
     nodes: list = []
-    for cls, fields in rows:
-        nodes.append(cls(*(nodes[f[0]] if type(f) is tuple else f for f in fields)))
+    for kind, a, b in plan:
+        if kind is RationalConst or kind is Variable:
+            nodes.append(kind(a))
+        elif kind is IntPow:
+            nodes.append(kind(nodes[a], b))
+        elif kind is Apply:
+            nodes.append(kind(b, nodes[a]))
+        else:
+            nodes.append(kind(nodes[a], nodes[b]))
     return nodes[-1]
 
 
@@ -570,9 +602,6 @@ def _lc_exponent(tokens) -> tuple[Fraction, tuple]:
 
 # -- evaluation ----------------------------------------------------------------
 
-#: Marks an operand with no value yet; None is a value like any other.
-_MISSING = object()
-
 
 def evaluate(
     e: Expr,
@@ -587,59 +616,35 @@ def evaluate(
     ``lift`` puts a constant, given as its binary64 value, into the domain;
     ``apply(name, value)`` evaluates a named function there, ``inv(y)`` is
     the reciprocal (``Div`` is ``x * inv(y)``) and ``power(x, n)`` the
-    integer power.  The walk keeps an explicit stack, so expressions of any
-    depth evaluate: operands come before their node, left before right, and
-    each node of a shared DAG (derivative trees are DAGs) is evaluated once
-    per call.
+    integer power.  The walk is one pass over e's plan (see _plan_of), so
+    expressions of any depth evaluate: operands come before their node, left
+    before right, and each node of a shared DAG (derivative trees are DAGs)
+    is evaluated once per call.
     """
-    vals: dict[int, object] = {}
-    get = vals.get
-    stack = [e]
-    # Dispatch is on the exact node type; class patterns cost more per node.
-    while stack:
-        node = stack[-1]
-        if id(node) in vals:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Add or kind is Sub or kind is Mul or kind is Div:
-            a, b = node.left, node.right
-            x = get(id(a), _MISSING)
-            y = get(id(b), _MISSING)
-            if x is _MISSING or y is _MISSING:
-                # the right operand goes first, so the left is on top
-                if y is _MISSING:
-                    stack.append(b)
-                if x is _MISSING:
-                    stack.append(a)
-                continue
-            if kind is Add:
-                result = x + y
-            elif kind is Sub:
-                result = x - y
-            elif kind is Mul:
-                result = x * y
-            else:
-                result = x * inv(y)
-        elif kind is IntPow or kind is Apply:
-            a = node.base if kind is IntPow else node.arg
-            x = get(id(a), _MISSING)
-            if x is _MISSING:
-                stack.append(a)
-                continue
-            result = power(x, node.exponent) if kind is IntPow else apply(node.func, x)
+    vals: list = []
+    put = vals.append
+    # Dispatch is on the exact node type, most frequent first.
+    for kind, a, b in _plan_of(e):
+        if kind is Add:
+            put(vals[a] + vals[b])
+        elif kind is Mul:
+            put(vals[a] * vals[b])
+        elif kind is Sub:
+            put(vals[a] - vals[b])
         elif kind is RationalConst:
-            result = lift(float(node.value))
+            put(lift(float(a)))
+        elif kind is IntPow:
+            put(power(vals[a], b))
+        elif kind is Apply:
+            put(apply(b, vals[a]))
         elif kind is Variable:
             try:
-                result = env[node.name]
+                put(env[a])
             except KeyError:
-                raise UnboundVariableError(node.name) from None
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        stack.pop()
-        vals[id(node)] = result
-    return vals[id(e)]
+                raise UnboundVariableError(a) from None
+        else:  # Div
+            put(vals[a] * inv(vals[b]))
+    return vals[-1]
 
 
 # The binary64 domain.  At exactly-known reals every LC operation is one
@@ -695,18 +700,15 @@ def _float_apply(name: str, x: float) -> float:
 def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     """Evaluate over LC arguments, delegating to the field/series operations.
 
-    When every argument is an exactly-known real, the walk runs in binary64,
+    Scalar arguments (int, float, Fraction) are coerced with as_lc, so the
+    result is always an LCNumber.  When every argument is an exactly-known real, the walk runs in binary64,
     with results bit-identical to LC arithmetic.  If that walk raises or
     ends in a non-finite value, the LC walk runs, and its value or exception
     is the answer.
     """
-    point = {}
-    for name, x in env.items():
-        c = x.exact_real() if isinstance(x, LCNumber) else None
-        if c is None:
-            break
-        point[name] = c
-    else:
+    env = {name: as_lc(x) for name, x in env.items()}
+    point = {name: x.exact_real() for name, x in env.items()}
+    if None not in point.values():
         try:
             value = evaluate(e, point, float, _float_apply, _float_inv, _float_power)
         except _FLOAT_WALK_ERRORS:

@@ -551,6 +551,23 @@ def test_eval_none_operand_raises():
         eval_lc(parse_expr("x + 1"), {"x": None})
 
 
+@pytest.mark.parametrize("value", [2, 2.0, F(2)], ids=["int", "float", "Fraction"])
+@pytest.mark.parametrize("text", ["x", "x^1"])
+def test_eval_scalar_arguments_give_lc_numbers(text, value):
+    v = eval_lc(parse_expr(text), {"x": value})
+    assert type(v) is LCNumber
+    assert v == LCNumber.from_real(2) and v.horizon == math.inf
+
+
+def test_eval_scalar_arguments_take_the_binary64_walk(monkeypatch):
+    def lc_function(name, x):
+        raise AssertionError("the LC walk ran")
+
+    monkeypatch.setattr(expr.series, "apply_elementary", lc_function)
+    v = eval_lc(parse_expr("exp(x) + 1/x"), {"x": 2})
+    assert v == LCNumber.from_real(math.exp(2) + 0.5)
+
+
 def test_eval_variable_free_matches_binary64():
     cases = ["exp(1) + sin(1/2)", "ln(2)*cos(3/4)", "2^10/3 - sqrt(2)"]
     refs = [
