@@ -37,11 +37,11 @@ all.  Sums, products, caps, comparisons and truncations are pure machine-int
 loops; a cap is put onto the product grid once.  The power series in an
 infinitesimal u behind ``inv`` and the elementary functions of ``series``
 are formed on the grid too, one coefficient at a time, by
-``_power_series``.  Two exact one-term numbers
-skip the loops: their product under an infinite cap is one float multiply
-and their sum at one exponent one float add, with the same bits.  A number
-holds its grid and nothing else, so each read of ``horizon``,
-``valuation()`` or ``terms`` builds its ``Fraction`` view anew.  So test
+``_power_series``.  Each operation has one path for every operand: a sum
+is one merge of the sorted terms, and a product with a one-term factor is
+one scaling pass over the other factor's terms.  A number holds its grid
+and nothing else, so each read of ``horizon``, ``valuation()`` or
+``terms`` builds its ``Fraction`` view anew.  So test
 emptiness with ``bool(x)`` or ``x.is_zero``, and cap a product at a sum's
 horizon with ``x.__mul__(y, s)``.  Every number is built by ``_from_grid``,
 which returns ``ZERO`` itself for no terms and an infinite horizon, so
@@ -377,19 +377,6 @@ class LCNumber:
         a, b = self._iterms, other._iterms
         ha, hb = self._h, other._h
         den, db = self._den, other._den
-        # exact one-term operands at one grid exponent: one float add
-        if (
-            ha is None
-            and hb is None
-            and len(a) == 1
-            and len(b) == 1
-            and den == db
-            and a[0][0] == b[0][0]
-        ):
-            c = a[0][1] - b[0][1] if neg else a[0][1] + b[0][1]
-            if c == 0.0:
-                return ZERO
-            return LCNumber._from_grid(den, None, ((a[0][0], c),))
         if den != db:
             grid = den * db // math.gcd(den, db)
             fa, fb = grid // den, grid // db
@@ -486,22 +473,6 @@ class LCNumber:
         a, b = self._iterms, other._iterms
         ha, hb = self._h, other._h
         da, db = self._den, other._den
-        # exact one-term factors under an infinite cap: one float multiply
-        # and one exponent sum, reduced by one gcd unless the grid is 1
-        if hz is None and ha is None and hb is None and len(a) == 1 and len(b) == 1:
-            c = a[0][1] * b[0][1]
-            if c == 0.0:  # underflow
-                return ZERO
-            if da == db:
-                den, e = da, a[0][0] + b[0][0]
-            else:
-                den = da * db // math.gcd(da, db)
-                e = a[0][0] * (den // da) + b[0][0] * (den // db)
-            if den != 1:
-                g = math.gcd(den, e)
-                if g != 1:
-                    den, e = den // g, e // g
-            return LCNumber._from_grid(den, None, ((e, c),))
         if da == db:
             den, fa, fb = da, 1, 1
         else:

@@ -701,10 +701,10 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     """Evaluate over LC arguments, delegating to the field/series operations.
 
     Scalar arguments (int, float, Fraction) are coerced with as_lc, so the
-    result is always an LCNumber.  When every argument is an exactly-known real, the walk runs in binary64,
-    with results bit-identical to LC arithmetic.  If that walk raises or
-    ends in a non-finite value, the LC walk runs, and its value or exception
-    is the answer.
+    result is always an LCNumber.  When every argument is an exactly-known
+    real, the walk runs in binary64, with results bit-identical to LC
+    arithmetic.  If that walk raises or ends in a non-finite value, the LC
+    walk runs, and its value or exception is the answer.
     """
     env = {name: as_lc(x) for name, x in env.items()}
     point = {name: x.exact_real() for name, x in env.items()}

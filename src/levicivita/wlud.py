@@ -235,6 +235,8 @@ def wlud_check_nd(
     inconclusive rather than decided, and a check that decides no pair is
     inconclusive.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     plan = plan or SamplingPlan()
     names, center = _checked_point(vars, x0)
     eps = _require_positive(as_lc(eps), "eps")

@@ -7,9 +7,10 @@ square-and-multiply loop that starts from the unit.  Each is compared bit
 for bit: the grid, the coefficients' binary64 bits and the horizon with its
 type.  Coefficients include values that round and values whose products
 underflow, exponents sit on unequal grids, and numbers may be empty with a
-finite horizon.  Sums and products of one-term numbers, which take a short
-path when both are exact, must equal the number built from the exact
-reference terms.  A number passed as the cap stands for its horizon.
+finite horizon.  Sums and products of one-term numbers, exact or with a
+finite horizon, take the same merge and product as any other operands and
+must equal the number built from the exact reference terms.  A number
+passed as the cap stands for its horizon.
 """
 
 import cProfile
@@ -20,7 +21,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicivita import D, INF, LCNumber, ONE, Ordering, ZERO, parse_expr, taylor_jet
+from levicivita import (
+    D, INF, LCNumber, ONE, Ordering, ZERO, diff_symbolic, eval_lc, parse_expr,
+    taylor_jet,
+)
 from levicivita.calculus import _LC, _Jet, _layout
 from levicivita.core import power
 from levicivita.expr import _float_inv
@@ -272,18 +276,26 @@ def test_one_term_operands_with_a_finite_horizon(ea, ca, oa, eb, cb, ob, swap):
 
 
 def test_real_point_jets_make_no_lc_product_sum_or_inverse():
-    # at an exactly-known real centre the jet runs in binary64: LCNumber
-    # only holds the centre and the coefficients
+    # at an exactly-known real point the jet and eval_lc of the derivative
+    # chain run in binary64: LCNumber only holds the point and the results
+    chains = []
+    for text in ("exp(x)*sin(x)", "ln(1+x)/(2+x)"):
+        chain = [parse_expr(text)]
+        for _ in range(8):
+            chain.append(diff_symbolic(chain[-1], "x"))
+        chains.append(chain)
     profile = cProfile.Profile()
     profile.enable()
-    for text in ("exp(x)*sin(x)", "ln(1+x)/(2+x)"):
-        f = parse_expr(text)
+    for chain in chains:
         for x0 in (0, Fraction(3, 8)):
-            taylor_jet(f, "x", x0, 8)
+            taylor_jet(chain[0], "x", x0, 8)
+            for g in chain:
+                eval_lc(g, {"x": x0})
     profile.disable()
     calls = {
         key[2]: row[1]
         for key, row in pstats.Stats(profile).stats.items()
         if Path(key[0]).name == "core.py"
     }
-    assert [calls.get(name, 0) for name in ("__mul__", "__add__", "inv")] == [0, 0, 0]
+    names = ("__mul__", "__add__", "inv", "compare")
+    assert [calls.get(name, 0) for name in names] == [0, 0, 0, 0]

@@ -231,6 +231,17 @@ def test_negative_samples_exit_3(capsys):
         assert err == "levicivita: error: ValueError: --samples must be >= 0, got -1\n"
 
 
+def test_negative_k_exit_3(capsys):
+    for at in (("--at", "0"), ("--var", "y", "--at", "0", "--at", "1")):
+        code, out, err = run(
+            capsys, "wlud-check", "x^2", "--var", "x", *at, "--k", "-1",
+            "--eps", "1", "--delta", "d",
+        )
+        assert code == 3, at
+        assert out == ""
+        assert err == "levicivita: error: ValueError: k must be >= 0, got -1\n"
+
+
 def test_syntax_error_exit_3(capsys):
     code, _, err = run(capsys, "eval", "d^^2", "--at", "x=0")
     assert code == 3
