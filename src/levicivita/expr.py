@@ -168,9 +168,10 @@ def _plan_of(root: Expr) -> tuple:
     """root's distinct nodes in _postorder, as rows (kind, a, b) that hold no
     node: a and b are the operands' positions for Add, Sub, Mul and Div;
     IntPow holds (base position, exponent), Apply (argument position, name),
-    RationalConst (value, None) and Variable (name, None).  Built on root's
-    first evaluation (or pickling) and kept in its _plan slot, so it is
-    freed with root."""
+    RationalConst (value, its binary64 value) and Variable (name, None).  A
+    constant past binary64's range holds None for its binary64 value, and
+    raises where a walk meets it.  Built on root's first evaluation (or
+    pickling) and kept in its _plan slot, so it is freed with root."""
     try:
         return root._plan
     except AttributeError:  # not built yet, or not a node
@@ -181,7 +182,10 @@ def _plan_of(root: Expr) -> tuple:
     for node in _postorder(root):
         kind = type(node)
         if kind is RationalConst:
-            row = (kind, node.value, None)
+            try:
+                row = (kind, node.value, float(node.value))
+            except OverflowError:
+                row = (kind, node.value, None)
         elif kind is Variable:
             row = (kind, node.name, None)
         elif kind is IntPow:
@@ -632,7 +636,7 @@ def evaluate(
         elif kind is Sub:
             put(vals[a] - vals[b])
         elif kind is RationalConst:
-            put(lift(float(a)))
+            put(lift(float(a) if b is None else b))  # float(a) raises past binary64
         elif kind is IntPow:
             put(power(vals[a], b))
         elif kind is Apply:
@@ -706,9 +710,16 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     arithmetic.  If that walk raises or ends in a non-finite value, the LC
     walk runs, and its value or exception is the answer.
     """
-    env = {name: as_lc(x) for name, x in env.items()}
-    point = {name: x.exact_real() for name, x in env.items()}
-    if None not in point.values():
+    lc_env, point = {}, {}
+    for name, x in env.items():
+        lc_env[name] = x = as_lc(x)
+        if point is not None:
+            r = x.exact_real()
+            if r is None:
+                point = None
+            else:
+                point[name] = r
+    if point is not None:
         try:
             value = evaluate(e, point, float, _float_apply, _float_inv, _float_power)
         except _FLOAT_WALK_ERRORS:
@@ -716,7 +727,7 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
         else:
             if math.isfinite(value):
                 return LCNumber.from_real(value)
-    return evaluate(e, env, LCNumber.from_real, series.apply_elementary)
+    return evaluate(e, lc_env, LCNumber.from_real, series.apply_elementary)
 
 
 def variables(e: Expr) -> set[str]:

@@ -12,6 +12,15 @@ seeded pseudo-random offsets and report verdicts "at scale": evidence, not
 proof.  A fail verdict always carries a concrete witness pair that can be
 replayed with the field operations.
 
+Each pair is decided at each order from leading terms: |residual| and
+eps*|y-x|^k are ordered by the first term where the two differ, and the
+margin is the gap of their valuations.  So the walk finds the residual's
+first visible term (below both horizons and above the binary64 noise floor)
+and weighs it against the bound's leading term.  It builds the full
+|residual| only for the pair an order reports and for a pair whose two
+leading terms are equal; every verdict and report equals the one the full
+numbers give.
+
 The analyticity certificates chain these checks: a delta ladder for eps = 1
 at each order, a growth estimate lambda0 for the jet coefficients, a
 computed convergence radius, and a sampled verification of the Taylor
@@ -35,9 +44,13 @@ from .core import (
     Valuation,
     ZERO,
     as_lc,
+    compare_lead,
     format_lc,
+    gap_exceeds,
+    gap_value,
+    leading_difference,
     monomial,
-    valuation_gap,
+    powers,
 )
 from .expr import Expr, eval_lc
 from .calculus import (
@@ -122,11 +135,25 @@ class SamplingPlan:
         )
 
     def pair_indices(self, count: int) -> list[tuple[int, int]]:
-        pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
-        if len(pairs) <= self.max_pairs:
-            return pairs
-        step = len(pairs) / self.max_pairs
-        return [pairs[int(i * step)] for i in range(self.max_pairs)]
+        """The ordered pairs (i, j), i != j, of count points, i first then j,
+        or max_pairs of them evenly spread over that list.
+
+        Pair t of the list is i = t // (count-1) and j = t % (count-1), plus
+        one when that is at least i, so the list itself is never built.
+        """
+        if count < 2:
+            return []
+        total = count * (count - 1)
+        if total <= self.max_pairs:
+            picks = range(total)
+        else:
+            step = total / self.max_pairs
+            picks = [int(i * step) for i in range(self.max_pairs)]
+        out = []
+        for t in picks:
+            i, j = divmod(t, count - 1)
+            out.append((i, j + (j >= i)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,16 +198,14 @@ def _require_positive(value: LCNumber, name: str) -> LCNumber:
     return value
 
 
-def _filtered_residual(resid: LCNumber, *refs: LCNumber) -> LCNumber:
-    """Drop residual coefficients that are binary64 noise at the refs' scale.
+def _noise_floor(fy_scale: float, approx: LCNumber) -> float:
+    """The size at or below which a coefficient of f(y) - approx is binary64
+    noise, from fy_scale, f(y)'s ``max_abs_coefficient()``.
 
     Exact computations (dyadic data) are unaffected: their residuals are
     exactly zero or carry genuinely sized coefficients.
     """
-    if not resid:
-        return resid
-    scale = max((r.max_abs_coefficient() for r in refs), default=0.0)
-    return resid.without_small(RESIDUAL_REL_TOL * scale)
+    return RESIDUAL_REL_TOL * max(fy_scale, approx.max_abs_coefficient())
 
 
 def wlud_check_1d(
@@ -252,7 +277,7 @@ class _Tally:
     k: int
     samples: int = 0
     inconclusive: int = 0
-    margin: Optional[Valuation] = None
+    margin: Optional[tuple] = None  # as compare_lead gives it
     pair: Optional[tuple] = None
     failed: bool = False
 
@@ -260,35 +285,46 @@ class _Tally:
 def _run_check(f, names, center, ks, jet_order, eps, delta, plan) -> list[WludReport]:
     """The order-k checks for every k in the ascending ks, in one pair walk.
 
-    Each sample point is evaluated once, as a jet of jet_order >= max(ks): a
-    pair reads T_k[f, xi] off the jet at xi and f(eta) off coefficient 0 of
-    the jet at eta.  An order still undecided forms one approximant per pair
-    and leaves the walk at its first violating pair; the walk ends when no
+    Each sample point is evaluated once, as a jet of jet_order >= max(ks),
+    and keeps f's value (coefficient 0 of the jet) with its largest
+    coefficient size: a pair reads T_k[f, xi] off the jet at xi and f(eta)
+    off the point eta.  A pair forms |v|^k for its live orders from one
+    square chain (``core.powers``).  An order decides the pair from the
+    first visible term of f(eta) - T_k alone (``core.leading_difference``,
+    then ``core.compare_lead``); it builds the full |residual| only for the
+    pair it reports, or when that term ties the bound's leading term.  An
+    order leaves the walk at its first violating pair; the walk ends when no
     order is left.  Returns one report per order, in the order of ks.
     """
     pts = plan.points_nd(center, delta)
     tallies = [_Tally(k) for k in ks]
     live, orders = tallies, list(ks)
-    jets: dict[int, PartialJet] = {}
+    seen: dict[int, tuple] = {}  # point index: (jet, f(point), its scale)
     constant = (0,) * len(center)
     for i, j in plan.pair_indices(len(pts)):
         xi, eta = pts[i], pts[j]
         for p in (i, j):
-            if p not in jets:
-                jets[p] = partial_jet(f, names, pts[p], jet_order)
-        feta = jets[j].table[constant]
+            if p not in seen:
+                jet = partial_jet(f, names, pts[p], jet_order)
+                fp = jet.table[constant]
+                seen[p] = (jet, fp, fp.max_abs_coefficient())
+        _, feta, feta_scale = seen[j]
         v = tuple(eta[m] - xi[m] for m in range(len(center)))
-        norm = _sup_norm(v)
+        norm_powers = powers(_sup_norm(v), orders, ONE)
         dropped = False
-        for t, approx in zip(live, partial_taylor_sums(jets[i], v, orders)):
-            lhs = abs(_filtered_residual(feta - approx, feta, approx))
-            rhs = eps * norm ** t.k
+        for t, approx in zip(live, partial_taylor_sums(seen[i][0], v, orders)):
+            floor = _noise_floor(feta_scale, approx)
+            rhs = eps * norm_powers[t.k]
             t.samples += 1
-            order = lhs.compare(rhs)
-            margin = valuation_gap(lhs, rhs)
-            if t.margin is None or margin > t.margin or order is Ordering.GREATER:
-                t.margin = margin
-                t.pair = (xi, eta, lhs, rhs)
+            order, margin = compare_lead(abs(leading_difference(feta, approx, floor)), rhs)
+            wider = t.margin is None or gap_exceeds(margin, t.margin)
+            if wider or order is None or order is Ordering.GREATER:
+                lhs = abs((feta - approx).without_small(floor))
+                if order is None:  # equal leading terms: the full numbers decide
+                    order = lhs.compare(rhs)
+                if wider or order is Ordering.GREATER:
+                    t.margin = margin
+                    t.pair = (xi, eta, lhs, rhs)
             if order is Ordering.EQUAL_AT_HORIZON:
                 t.inconclusive += 1
             elif order is Ordering.GREATER:
@@ -302,7 +338,7 @@ def _run_check(f, names, center, ks, jet_order, eps, delta, plan) -> list[WludRe
         WludReport(
             center, t.k, eps, delta, t.samples,
             "fail" if t.failed else "inconclusive" if t.inconclusive == t.samples else "pass",
-            t.pair, t.margin, t.inconclusive,
+            t.pair, None if t.margin is None else gap_value(t.margin), t.inconclusive,
         )
         for t in tallies
     ]
@@ -377,18 +413,19 @@ def analyticity_certificate_1d(
     def interval_identity(delta):
         pts = [y for (y,) in plan.points_nd((x0,), delta)]
         stride = max(1, len(pts) // 4)
-        fvals: dict[int, LCNumber] = {}
+        fvals: dict[int, tuple] = {}  # f(y) and its scale, once per y
         for x in [x0] + pts[::stride][:4]:
             series_x = ps if x == x0 else recenter(ps, x, window)
             for idx, y in enumerate(pts):
                 if y == x:
                     continue
                 if idx not in fvals:
-                    fvals[idx] = eval_lc(f, {var: y})
-                fy = fvals[idx]
+                    fy = eval_lc(f, {var: y})
+                    fvals[idx] = fy, fy.max_abs_coefficient()
+                fy, scale = fvals[idx]
                 inc = y - x
                 cap = _working_horizon(fy)
-                yield x, y, fy, _taylor_sum(series_x, inc.truncate(cap)), (inc,)
+                yield x, y, fy, scale, _taylor_sum(series_x, inc.truncate(cap)), (inc,)
 
     return _certify(x0, pj, jmax, kmax, window, entries, interval_identity)
 
@@ -416,7 +453,8 @@ def analyticity_certificate_nd(
             feta = eval_lc(f, dict(zip(names, eta)))
             cap = _working_horizon(feta)
             v = tuple((e - c).truncate(cap) for e, c in zip(eta, center))
-            yield center, eta, feta, partial_taylor_eval(pj, v, jmax), v
+            approx = partial_taylor_eval(pj, v, jmax)
+            yield center, eta, feta, feta.max_abs_coefficient(), approx, v
 
     return _certify(center, pj, jmax, kmax, window, entries, point_identity)
 
@@ -424,11 +462,13 @@ def analyticity_certificate_nd(
 def _certify(x0, pj: PartialJet, jmax, kmax, window, entries, identity):
     """Everything after the ladder, the same at every number of variables.
 
-    ``identity(delta)`` yields ``(x, y, f(y), approx, increment)`` per
-    sampled check, where approx is the Taylor sum at x and increment holds
-    the components of y - x.  Only f(y)'s own horizon is checkable, so the
-    phases truncate the increment there, which also lets sums end early.
-    A visible residual is classified at lambda of the increment's sup norm.
+    ``identity(delta)`` yields ``(x, y, f(y), scale, approx, increment)``
+    per sampled check, where scale is f(y)'s ``max_abs_coefficient()``,
+    approx is the Taylor sum at x and increment holds the components of
+    y - x.  Only f(y)'s own horizon is checkable, so the phases truncate
+    the increment there, which also lets sums end early.  A visible
+    residual is classified at lambda of the increment's sup norm, which
+    reads its first visible term alone.
     """
     per_order = _per_order_growth(pj, jmax)
     lam0 = _window_max(per_order, jmax - window + 1, jmax)
@@ -442,8 +482,9 @@ def _certify(x0, pj: PartialJet, jmax, kmax, window, entries, identity):
         delta = monomial(required + 1)
         growth = max(Fraction(0), lam0_head)
         verdict = "certified_at_scale"
-        for x, y, fy, approx, inc in identity(delta):
-            resid = _filtered_residual(fy - approx, fy, approx)
+        for x, y, fy, scale, approx, inc in identity(delta):
+            # only the residual's leading term is read
+            resid = leading_difference(fy, approx, _noise_floor(scale, approx))
             checks.append((x, y, resid.valuation()))
             if resid:
                 lam_inc = min(c.valuation() for c in inc)

@@ -2,8 +2,11 @@
 
 ``x.__mul__(y, cap)`` must be ``(x * y).truncate(cap)``, the one-pass
 subtraction must be ``x + (-y)``, ``compare`` must read the sign of the
-leading term of ``x + (-y)``, and ``core.power`` must equal the
-square-and-multiply loop that starts from the unit.  Each is compared bit
+leading term of ``x + (-y)``, ``core.power`` must equal the
+square-and-multiply loop that starts from the unit, and ``core.powers``
+must equal ``core.power``.  ``core.leading_difference`` must be the leading
+term of ``(x - y).without_small(tol)``, and ``core.compare_lead`` must be
+``compare`` and the valuation gap wherever the leading terms differ.  Each is compared bit
 for bit: the grid, the coefficients' binary64 bits and the horizon with its
 type.  Coefficients include values that round and values whose products
 underflow, exponents sit on unequal grids, and numbers may be empty with a
@@ -26,7 +29,9 @@ from levicivita import (
     taylor_jet,
 )
 from levicivita.calculus import _LC, _Jet, _layout
-from levicivita.core import power
+from levicivita.core import (
+    compare_lead, gap_exceeds, gap_value, leading_difference, power, powers,
+)
 from levicivita.expr import _float_inv
 
 #: Run times on a shared machine vary too much for a per-example deadline.
@@ -126,6 +131,51 @@ def test_compare_is_the_sign_of_the_leading_difference(x, y):
     assert x.compare(y) is want
 
 
+#: Noise floors: none, sizes that cut some coefficients, and one above all.
+floors = st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e3])
+
+
+@props
+@given(numbers(), numbers(), floors)
+def test_leading_difference_is_the_leading_term_of_the_filtered_difference(x, y, tol):
+    full = (x - y).without_small(tol)
+    lead = leading_difference(x, y, tol)
+    assert lead.horizon == full.horizon and type(lead.horizon) is type(full.horizon)
+    assert [(e, c.hex()) for e, c in lead.terms] == [
+        (e, c.hex()) for e, c in full.terms[:1]
+    ]
+
+
+@props
+@given(numbers(max_terms=1), numbers(), st.booleans())
+def test_compare_lead_reads_the_two_leading_terms(lhs, rhs, tie):
+    if tie and lhs and rhs:  # lhs takes rhs's leading term
+        lhs = LCNumber(rhs.terms[:1], lhs.horizon)
+    order, gap = compare_lead(lhs, rhs)
+    want = (
+        -INF if not lhs else INF if not rhs
+        else rhs.valuation() - lhs.valuation()
+    )
+    assert gap_value(gap) == want
+    if lhs and rhs and lhs.terms[0] == rhs.terms[0]:
+        assert order is None
+    else:
+        assert order is lhs.compare(rhs)
+
+
+#: Gaps on unequal grids, both signs, zero and the two infinities.
+gaps = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(1, 12)),
+    st.sampled_from([(1, 0), (-1, 0)]),
+)
+
+
+@props
+@given(gaps, gaps)
+def test_gap_exceeds_orders_the_gap_values(a, b):
+    assert gap_exceeds(a, b) is (gap_value(a) > gap_value(b))
+
+
 def unit_started_power(x, n, one, inv):
     """The square-and-multiply loop whose first product is one * x."""
     if n < 0:
@@ -152,6 +202,10 @@ def outcome(fn):
 def test_power_of_lc_numbers(x, n):
     want = unit_started_power(x, n, ONE, LCNumber.inv)
     assert bits(power(x, n, ONE)) == bits(want)
+    # the square chain forms each x^m as power does, for every m at once
+    chain = powers(x, range(17), ONE)
+    for m in range(17):
+        assert bits(chain[m]) == bits(power(x, m, ONE)), m
 
 
 @props

@@ -73,6 +73,18 @@ def test_plan_rejects_values_that_break_the_walk(field, value, message):
         SamplingPlan(**{field: value})
 
 
+@pytest.mark.parametrize("max_pairs", [1, 2, 7, 60, 400, 1000, 5000])
+def test_pair_indices_match_the_full_list(max_pairs):
+    # the pairs by index arithmetic are the old list comprehension's picks
+    plan = SamplingPlan(max_pairs=max_pairs)
+    for count in range(61):
+        pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
+        if len(pairs) > max_pairs:
+            step = len(pairs) / max_pairs
+            pairs = [pairs[int(i * step)] for i in range(max_pairs)]
+        assert plan.pair_indices(count) == pairs, count
+
+
 def test_plan_grid_contains_documented_witness_scales():
     # the |x| witness family (d^(2m), -d^m) needs both exponents in the grid
     offs = SamplingPlan().offsets(D)
@@ -203,6 +215,50 @@ def test_walk_takes_one_jet_per_point_and_no_other_evaluation(monkeypatch):
     touched = {pts[p] for pair in FAST_PLAN.pair_indices(len(pts)) for p in pair}
     assert len(centres) == len(touched)
     assert set(centres) == touched
+
+    # A pair and order is decided from the residual's first visible term: the
+    # walk subtracts f(eta) - T_k in full only for the pair it reports, and
+    # makes no Fraction per pair and order (outside the jets, whose cost does
+    # not depend on the walk).  For exp at 0 every order reports the first
+    # pair, so there is one full residual per order.
+    fvalue_at, subtractions, fractions, in_jet = {}, [], [], []
+    subtract, new_fraction = LCNumber.__sub__, Fraction.__new__
+
+    def recording_jet(f, names, x0, k):
+        in_jet.append(True)
+        try:
+            pj = jet(f, names, x0, k)
+        finally:
+            in_jet.pop()
+        fvalue_at[tuple(x0)] = pj.table[(0,)]
+        return pj
+
+    def recording_sub(a, b):
+        subtractions.append(a)
+        return subtract(a, b)
+
+    def counting_fraction(cls, *args, **kwargs):
+        if not in_jet:
+            fractions.append(cls)
+        return new_fraction(cls, *args, **kwargs)
+
+    monkeypatch.setattr(wlud, "partial_jet", recording_jet)
+    monkeypatch.setattr(LCNumber, "__sub__", recording_sub)
+    made = {}
+    for max_pairs in (100, 400):
+        fvalue_at.clear(), subtractions.clear(), fractions.clear()
+        plan = SamplingPlan(max_pairs=max_pairs)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting_fraction)
+            reports = _run_check(parse_expr("exp(x)"), ["x"], (ZERO,), [1, 2, 3, 4], 4, ONE, D, plan)
+        assert [(r.result, r.samples) for r in reports] == [("pass", max_pairs)] * 4
+        fvalues = list(fvalue_at.values())
+        residuals = [a for a in subtractions if any(a is fv for fv in fvalues)]
+        assert len(residuals) == len(reports)
+        for a, r in zip(residuals, reports):
+            assert a is fvalue_at[r.worst_pair[1]]
+        made[max_pairs] = len(fractions)
+    assert made[100] == made[400] < 100
 
 
 def test_nd_bilinear_passes_exactly():
