@@ -402,11 +402,18 @@ def _horner_plan(n: int, k: int) -> tuple:
     return level((), k)
 
 
-def _horner(table: Mapping, plan: tuple, v: Sequence[LCNumber], i: int = 0) -> LCNumber:
+def _horner(
+    table: Mapping, plan: tuple, v: Sequence[LCNumber], cut=INF, i: int = 0
+) -> LCNumber:
     last = i == len(v) - 1
     result = None
     for entry in plan:
-        term = table[entry] if last else _horner(table, entry, v, i + 1)
+        if not last:
+            term = _horner(table, entry, v, cut, i + 1)
+        elif cut is INF:
+            term = table[entry]
+        else:
+            term = table[entry].truncate(cut)
         if result is not None:  # the sum keeps nothing at or past term's horizon
             term = term + result.__mul__(v[i], term)
         result = term
@@ -463,12 +470,22 @@ def _graded_parts(
     return parts
 
 
-def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[LCNumber]:
+def partial_taylor_sums(
+    pj: PartialJet, v: Sequence, ks: Sequence[int], cut=INF
+) -> list[LCNumber]:
     """``partial_taylor_eval(pj, v, k)`` for each of the ascending orders ks.
 
     The lowest order is nested Horner, so it is exactly that call.  Each
     higher order adds the graded parts H_j above the one before it
     (degree-graded Taylor propagation).
+
+    With a horizon ``cut`` and a direction whose components have only
+    positive exponents, each sum is the uncut one truncated at ``cut``, to
+    the bit and with horizon min(h, cut): Horner truncates each table entry
+    there, and every product and sum after it is capped at a horizon no
+    larger, so only term pairs at or past ``cut`` are left out.  A product's
+    coefficient at e reads the other factor's coefficients below e alone,
+    which is why the exponents must be positive.
     """
     top = ks[-1]
     if top > pj.order:
@@ -476,7 +493,7 @@ def partial_taylor_sums(pj: PartialJet, v: Sequence, ks: Sequence[int]) -> list[
     vec = [as_lc(c) for c in v]
     if len(vec) != pj.n:
         raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
-    total = _horner(pj.table, _horner_plan(pj.n, ks[0]), vec)
+    total = _horner(pj.table, _horner_plan(pj.n, ks[0]), vec, cut)
     sums = [total]
     if len(ks) == 1:
         return sums

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -149,6 +150,23 @@ def _plan(args) -> SamplingPlan:
     return SamplingPlan(random_offsets=args.samples, seed=args.seed)
 
 
+def _finite(*values) -> None:
+    """Raise ValueError at the first coefficient of the values that is not
+    finite; a tuple is read component by component and None is skipped.
+
+    Core arithmetic carries inf and nan; a command reports them as an error
+    rather than printing them.  Parsed literals are finite, and so are the
+    points and radii built from them, so only computed values are checked.
+    """
+    for x in values:
+        if isinstance(x, tuple):
+            _finite(*x)
+        elif x is not None:
+            for e, c in x.terms:
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c!r} at exponent {e}")
+
+
 def _emit(args, text_lines, payload) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -168,18 +186,21 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"variable {name!r} is bound twice")
         env[name] = parse_lc(literal)
     value = eval_lc(parse_expr(args.expr), env)
+    _finite(value)
     _emit(args, [format_lc(value)], {"value": format_lc(value)})
     return EXIT_OK
 
 
 def _cmd_derive(args) -> int:
     value = derivative_at(parse_expr(args.expr), args.var, parse_lc(args.at), args.order)
+    _finite(value)
     _emit(args, [format_lc(value)], {"derivative": format_lc(value)})
     return EXIT_OK
 
 
 def _cmd_taylor(args) -> int:
     jet = taylor_jet(parse_expr(args.expr), args.var, parse_lc(args.at), args.order)
+    _finite(jet.coeffs)
     coeffs = [format_lc(c) for c in jet.coeffs]
     lines = [f"{j}: {c}" for j, c in enumerate(coeffs)]
     _emit(args, lines, {"center": format_lc(jet.center), "coeffs": coeffs})
@@ -211,6 +232,7 @@ def _cmd_wlud_check(args) -> int:
         report = wlud_check_1d(f, args.var[0], centers[0], args.k, eps, delta, _plan(args))
     else:
         report = wlud_check_nd(f, args.var, centers, args.k, eps, delta, _plan(args))
+    _finite(report.worst_pair)
     payload = report_to_json(report)
     lines = [f"result: {report.result}", f"samples: {report.samples}"]
     if report.worst_pair is not None:

@@ -982,7 +982,7 @@ def approx_equal(x: LCNumber, y, rel_tol: float = 1e-12) -> bool:
 
 
 def _format_coeff(c: float) -> str:
-    if c == int(c) and abs(c) < 1e16:
+    if abs(c) < 1e16 and c == int(c):  # inf and nan fail the first test
         return str(int(c))
     return repr(c)
 
@@ -1009,7 +1009,7 @@ def format_lc(x: LCNumber) -> str:
             else:
                 body = f"{coeff_part}d^{_format_exponent(e)}"
         if idx == 0:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(f"-{body}" if c < 0 else body)
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(pieces)

@@ -17,6 +17,12 @@ CORPUS_30 = [
     "x^3*exp(x)", "exp(sin(x))", "sin(exp(x)-1)", "(1+x^2)*cos(x)", "exp(x)*ln(1+x)",
 ]
 
+#: The verdict corpus C210: its 35 expressions (criterion 3's and five with
+#: poles or a branch point) at its 6 centres, given as LC literals, make 210
+#: certificates with jmax 16, kmax 4 and the default plan.
+C210_EXPRESSIONS = CORPUS_30 + ["1/(1-x)", "1/x", "sqrt(x)", "x^4-3*x+1", "1/(x-x^2)"]
+C210_CENTRES = ["0", "1/2", "d", "1/2+d", "d^(1/2)", "1-2d^(1/2)+d^3"]
+
 #: Criterion 3's points.
 BASE_POINTS = [Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(1), Fraction(-1, 2)]
 

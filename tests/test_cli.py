@@ -301,10 +301,30 @@ def test_literal_terms_summing_past_binary64_exit_3(capsys):
 
 
 def test_eval_product_overflow_exit_3(capsys):
-    code, _, err = run(capsys, "eval", "x*x", "--at", "x=1e200")
+    code, out, err = run(capsys, "eval", "x*x", "--at", "x=1e200")
     assert code == 3
-    assert err.startswith("levicivita: error: OverflowError")
-    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+    assert err == "levicivita: error: ValueError: non-finite coefficient inf at exponent 0\n"
+
+
+def test_eval_difference_of_overflowed_products_exit_3(capsys):
+    code, out, err = run(capsys, "eval", "x*x - x*x", "--at", "x=1e200")
+    assert code == 3
+    assert out == ""
+    assert err == "levicivita: error: ValueError: non-finite coefficient nan at exponent 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor", "x*x", "--var", "x", "--at", "1e200", "--order", "2"],
+    ["derive", "x^3", "--var", "x", "--at", "1e200", "--order", "1"],
+    ["wlud-check", "x^2", "--var", "x", "--at", "0", "--k", "4", "--eps", "1e308", "--delta", "1"],
+])
+def test_non_finite_results_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("levicivita: error: ValueError: non-finite coefficient inf at exponent ")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_reciprocal_of_an_overflowed_square_exit_3(capsys):

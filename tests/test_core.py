@@ -352,6 +352,16 @@ def test_power_is_one_loop_for_lc_numbers_and_floats():
     assert power(0.0, 0, 1.0) == 1.0
 
 
+def test_numbers_holding_inf_or_nan_print():
+    # core arithmetic carries inf and nan; printing them must not raise
+    big = LCNumber.from_real(1e200)
+    square = big * big
+    assert repr(square) == "LCNumber('inf', horizon=inf)"
+    assert str(-square) == "-inf"
+    assert str(square - square) == "nan"
+    assert str(big * lc((F(0), 1e200), (F(1), -1e300))) == "inf - infd"
+
+
 def test_structural_equality_and_hash():
     a = lc((F(1), 1.0), horizon=F(4))
     b = lc((F(1), 1.0), horizon=F(4))
