@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     INF,
@@ -108,11 +108,20 @@ def lambda0_estimate(s: PowerSeries, window: Optional[int] = None) -> Valuation:
     jmax = s.jmax
     if jmax < 1:
         raise EmptySeriesError("need at least one coefficient beyond a_0")
-    window = growth_window(jmax, window)
+    return _growth(enumerate(s.coeffs), jmax - growth_window(jmax, window) + 1)
+
+
+def _growth(graded: Iterable[tuple[int, LCNumber]], lo: int) -> Valuation:
+    """The growth rate max(-lambda(a)/j) over the coefficients a of order
+    j >= lo >= 1 in graded; a zero a contributes -inf.
+
+    Only the least lambda(a) at each order counts, so one variable passes
+    a power series' (j, a_j) and several pass each partial coefficient
+    with its order |alpha|.
+    """
     best: Valuation = _NEG_INF
-    for j in range(jmax - window + 1, jmax + 1):
-        a = s.coeffs[j]
-        if a:
+    for j, a in graded:
+        if j >= lo and a:
             v = Fraction(-a.valuation(), j)
             if best == _NEG_INF or v > best:
                 best = v

@@ -23,11 +23,13 @@ numbers give.
 
 The delta ladder reads only each check's verdict, and with eps = 1 a pair's
 verdict is read at lambda(rhs) = k*lambda(y-x).  So with two or more orders
-left its walk forms the Taylor sums only below max(lambda(rhs)) + 1, not up
-to the working horizon, and sends the few pairs whose reading the cut could
-change to the full sums: adaptive evaluation in the sense of Shewchuk
-(Discrete Comput. Geom. 18, 1997).  Every ladder entry is the one the full
-sums give.
+left its walk reads each pair first on Taylor sums formed only below
+max(lambda(rhs)) + 1, not up to the working horizon.  Those cut sums can
+prove a pair below the bound or indistinguishable at horizon, so those
+readings stand; every other reading, a tie or a violation, is read again
+on the full sums.  This is adaptive evaluation in the sense of Shewchuk
+(Discrete Comput. Geom. 18, 1997): the fast filter keeps only the answers
+it certifies.  Every ladder entry is the one the full sums give.
 
 The analyticity certificates chain these checks: a delta ladder for eps = 1
 at each order, a growth estimate lambda0 for the jet coefficients, a
@@ -64,7 +66,9 @@ from .expr import Expr, eval_lc
 from .calculus import (
     PartialJet, _checked_point, partial_jet, partial_taylor_eval, partial_taylor_sums
 )
-from .series import PowerSeries, _taylor_sum, _working_horizon, growth_window, recenter
+from .series import (
+    PowerSeries, _growth, _taylor_sum, _working_horizon, growth_window, recenter
+)
 
 _NEG_INF = -math.inf
 
@@ -307,20 +311,18 @@ def _run_check(
     order is left.  Returns one report per order, in the order of ks.
 
     With ``verdict_only`` the reports keep no worst pair and no margin, and
-    a pair with two or more live orders and lambda(v) > 0 forms its
-    approximants cut at H = max(lambda(rhs)) + 1 (``_cut_horizon``).  Below
-    H they equal the uncut ones to the bit, and every reading of a cut one
-    is the uncut reading except two, which ``_cut_order`` hands back to the
-    uncut approximants of the pair: a tie of the leading terms, and a
-    violation whose term is no larger than the noise floor that the uncut
-    approximant could set.
+    a pair with two or more live orders and lambda(v) > 0 is read first on
+    Taylor sums cut at H = max(lambda(rhs)) + 1 (``_cut_horizon``).  Below
+    H they equal the uncut sums to the bit, so the uncut residual's first
+    visible term is the cut one or a later one, and lambda(rhs) < H: a
+    reading of LESS or EQUAL_AT_HORIZON on the cut sums is final.  Every
+    other reading, a tie or GREATER, is read again on the pair's uncut sums.
     """
     keep = not verdict_only  # keep each order's reported pair and margin
     pts = plan.points_nd(center, delta)
     tallies = [_Tally(k) for k in ks]
     live, orders = tallies, list(ks)
-    # point index: [jet, f(point), its scale, the jet's degree sizes or None]
-    seen: dict[int, list] = {}
+    seen: dict[int, tuple] = {}  # point index: (jet, f(point), its scale)
     constant = (0,) * len(center)
     for i, j in plan.pair_indices(len(pts)):
         xi, eta = pts[i], pts[j]
@@ -328,42 +330,37 @@ def _run_check(
             if p not in seen:
                 jet = partial_jet(f, names, pts[p], jet_order)
                 fp = jet.table[constant]
-                seen[p] = [jet, fp, fp.max_abs_coefficient(), None]
-        at_xi = seen[i]
-        _, feta, feta_scale, _ = seen[j]
+                seen[p] = (jet, fp, fp.max_abs_coefficient())
+        jet_xi = seen[i][0]
+        _, feta, feta_scale = seen[j]
         v = tuple(eta[m] - xi[m] for m in range(len(center)))
         norm = _sup_norm(v)
         norm_powers = powers(norm, orders, ONE)
-        cut = INF
-        if verdict_only and len(orders) > 1:
-            rhss = [eps * norm_powers[k] for k in orders]
-            cut = _cut_horizon(norm, rhss)
-        full = None  # the uncut approximants, once a cut reading needs them
+        rhss = [eps * norm_powers[k] for k in orders]
+        cut = _cut_horizon(norm, rhss) if verdict_only and len(orders) > 1 else INF
+        full = None  # the uncut sums, once a cut reading needs them
         dropped = False
-        for t, approx in zip(live, partial_taylor_sums(at_xi[0], v, orders, cut)):
+        sums = partial_taylor_sums(jet_xi, v, orders, cut)
+        for idx, (t, approx) in enumerate(zip(live, sums)):
             t.samples += 1
-            order = None
-            if cut is INF:
-                rhs = eps * norm_powers[t.k]
-            else:
-                idx = orders.index(t.k)
-                rhs = rhss[idx]
-                order = _cut_order(at_xi, v, t.k, feta, feta_scale, approx, rhs)
-                if order is None:
-                    if full is None:
-                        full = partial_taylor_sums(at_xi[0], v, orders)
-                    approx = full[idx]
-            if order is None:  # the uncut approx decides
+            rhs, at = rhss[idx], cut
+            while True:
                 floor = _noise_floor(feta_scale, approx)
                 order, margin = compare_lead(abs(leading_difference(feta, approx, floor)), rhs)
-                wider = keep and (t.margin is None or gap_exceeds(margin, t.margin))
-                if wider or order is None or (keep and order is Ordering.GREATER):
-                    lhs = abs((feta - approx).without_small(floor))
-                    if order is None:  # equal leading terms: the full numbers decide
-                        order = lhs.compare(rhs)
-                    if wider or (keep and order is Ordering.GREATER):
-                        t.margin = margin
-                        t.pair = (xi, eta, lhs, rhs)
+                # on cut sums only LESS and EQUAL_AT_HORIZON are final
+                if at is INF or order is Ordering.LESS or order is Ordering.EQUAL_AT_HORIZON:
+                    break
+                if full is None:
+                    full = partial_taylor_sums(jet_xi, v, orders)
+                approx, at = full[idx], INF
+            wider = keep and (t.margin is None or gap_exceeds(margin, t.margin))
+            if wider or order is None or (keep and order is Ordering.GREATER):
+                lhs = abs((feta - approx).without_small(floor))
+                if order is None:  # equal leading terms: the full numbers decide
+                    order = lhs.compare(rhs)
+                if wider or (keep and order is Ordering.GREATER):
+                    t.margin = margin
+                    t.pair = (xi, eta, lhs, rhs)
             if order is Ordering.EQUAL_AT_HORIZON:
                 t.inconclusive += 1
             elif order is Ordering.GREATER:
@@ -394,66 +391,6 @@ def _cut_horizon(norm: LCNumber, rhss: Sequence[LCNumber]):
         return INF
     top = max(rhs.valuation() for rhs in rhss)
     return INF if top == INF else top + 1
-
-
-def _cut_order(at_xi, v, k, feta, scale, approx, rhs) -> Optional[Ordering]:
-    """The order of |f(eta) - T_k| against rhs read off T_k cut at H, or
-    None where the uncut T_k could read otherwise.
-
-    Below H the residual's coefficients are the uncut ones, and its noise
-    floor is at most the uncut one, so the uncut residual's first visible
-    term is the cut one or a later one; and lambda(rhs) < H.  So LESS
-    stands, and so does EQUAL_AT_HORIZON, which the cut reads only where
-    the residual's horizon is the uncut one and at most lambda(rhs).  A tie
-    needs the full numbers.  GREATER stands only when its term is larger
-    than any floor the uncut T_k could set, RESIDUAL_REL_TOL *
-    max(M(f(eta)), B_k) with B_k >= M(T_k) (``_approx_bound``), and B_k is
-    formed only then.
-    """
-    lead = abs(leading_difference(feta, approx, _noise_floor(scale, approx)))
-    order, _ = compare_lead(lead, rhs)
-    if order is Ordering.GREATER:
-        if at_xi[3] is None:
-            at_xi[3] = _degree_sizes(at_xi[0])
-        floor = RESIDUAL_REL_TOL * max(scale, _approx_bound(at_xi[3], v, k))
-        if not lead.max_abs_coefficient() > floor:
-            return None
-    return order
-
-
-def _degree_sizes(jet: PartialJet) -> list[float]:
-    """S_p: the sum of ``max_abs_coefficient()`` over the jet's entries of
-    degree p, for p = 0 .. jet.order."""
-    sizes = [0.0] * (jet.order + 1)
-    for alpha, coeff in jet.table.items():
-        p = sum(alpha)
-        sizes[p] = sizes[p] + coeff.max_abs_coefficient()
-    return sizes
-
-
-def _approx_bound(sizes: Sequence[float], v: Sequence[LCNumber], k: int) -> float:
-    """B_k = (1 + 2^-30) * sum(S_p * N^p, p <= k), an upper bound on
-    ``max_abs_coefficient()`` of T_k = sum(table[alpha] * v^alpha) over
-    |alpha| <= k as ``partial_taylor_sums`` forms it.
-
-    N is the largest sum of coefficient sizes of a component of v.  Each
-    coefficient of a product is at most M(x) * N(y) in size, so the exact
-    T_k has M(T_k) <= sum(S_p * N^p); its rounding, and that of the bound,
-    is far below the relative 2^-30 of slack (a running error bound as in
-    Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3).
-    """
-    norm1 = 0.0
-    for comp in v:
-        s = 0.0
-        for _, c in comp.terms:
-            s = s + abs(c)
-        if s > norm1:
-            norm1 = s
-    bound, power = 0.0, 1.0
-    for p in range(k + 1):
-        bound = bound + sizes[p] * power
-        power = power * norm1
-    return bound * (1.0 + 2.0**-30)
 
 
 def delta_ladder_search(
@@ -582,9 +519,9 @@ def _certify(x0, pj: PartialJet, jmax, kmax, window, entries, identity):
     residual is classified at lambda of the increment's sup norm, which
     reads its first visible term alone.
     """
-    per_order = _per_order_growth(pj, jmax)
-    lam0 = _window_max(per_order, jmax - window + 1, jmax)
-    lam0_head = _window_max(per_order, 1, jmax)
+    graded = [(sum(alpha), coeff) for alpha, coeff in pj.table.items()]
+    lam0 = _growth(graded, jmax - window + 1)
+    lam0_head = _growth(graded, 1)
     t = required = delta = None
     checks = []
     verdict = "inconclusive"
@@ -621,32 +558,6 @@ def _classify_residual(resid, lam_inc, jmax: int, growth: Fraction) -> str:
     if resid.valuation() >= threshold:
         return "inconclusive"
     return "refuted"
-
-
-def _per_order_growth(pj: PartialJet, jmax: int) -> dict[int, Valuation]:
-    """max over |alpha| = j of -lambda(d^alpha f(x0))/j, per order j.
-
-    At n = 1 a window max over these is ``series.lambda0_estimate`` of the
-    jet's power series.
-    """
-    out: dict[int, Valuation] = {j: _NEG_INF for j in range(1, jmax + 1)}
-    for alpha, coeff in pj.table.items():
-        j = sum(alpha)
-        if j == 0 or not coeff:
-            continue
-        v = Fraction(-coeff.valuation(), j)
-        if out[j] == _NEG_INF or v > out[j]:
-            out[j] = v
-    return out
-
-
-def _window_max(per_order: dict[int, Valuation], lo: int, hi: int) -> Valuation:
-    best: Valuation = _NEG_INF
-    for j in range(max(1, lo), hi + 1):
-        v = per_order.get(j, _NEG_INF)
-        if v != _NEG_INF and (best == _NEG_INF or v > best):
-            best = v
-    return best
 
 
 # -- serialization ---------------------------------------------------------------

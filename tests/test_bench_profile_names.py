@@ -56,8 +56,10 @@ def _profiled_names() -> list:
 #: Names that bench/layers.py still reads but the library deleted on purpose,
 #: each kept out of the lookups above until the benchmark's own files change:
 #: ``steps``, the term generator of the elementary series, gave way to the
-#: one-pass recurrences in ``core``.
-RETIRED = [("series", "steps")]
+#: one-pass recurrences in ``core``; ``_per_order_growth`` and ``_window_max``,
+#: the certificate's growth window, gave way to the one window loop
+#: ``series._growth`` that ``lambda0_estimate`` also reads.
+RETIRED = [("series", "steps"), ("wlud", "_per_order_growth"), ("wlud", "_window_max")]
 PROFILED = [name for name in _profiled_names() if name not in RETIRED]
 
 
