@@ -41,7 +41,8 @@ are formed on the grid too, one coefficient at a time, by
 is one merge of the sorted terms, a product with a one-term factor is one
 scaling pass over the other factor's terms, and ``compare`` and
 ``leading_difference`` read the first term of x - y off a merge that builds
-no difference.  A number holds its grid
+no difference; ``power_leads`` gives the leading term of c * x^n from the
+two leading terms alone.  A number holds its grid
 and nothing else, so each read of ``horizon``, ``valuation()`` or
 ``terms`` builds its ``Fraction`` view anew.  So test
 emptiness with ``bool(x)`` or ``x.is_zero``, and cap a product at a sum's
@@ -59,7 +60,7 @@ from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from operator import methodcaller
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ZeroOperandError
 
@@ -930,6 +931,46 @@ def compare_lead(lhs: LCNumber, rhs: LCNumber):
     if e is None:
         return Ordering.EQUAL_AT_HORIZON, gap
     return Ordering.GREATER if c > 0 else Ordering.LESS, gap
+
+
+def power_leads(c: LCNumber, x: LCNumber, ns: Sequence[int]):
+    """{n: the leading term of c * powers(x, ns, ONE)[n], as a number of that
+    one term with the product's horizon} for each n >= 0 of ns, from the two
+    leading terms alone; None when one of them may differ.
+
+    The coefficient is c's leading one times x's to the n, formed by
+    ``powers`` on the float: each product's leading coefficient is the one
+    product of its factors' leading ones, so the same chain in the same
+    order gives the same bits.  The exponent is lambda(c) + n*lambda(x), and
+    the horizon is that of ``__mul__``, min(h(c) + n*lambda(x),
+    h(x) + (n-1)*lambda(x) + lambda(c)), where x^0 is the exact ``ONE``.
+    None when c or x has no visible term, or a float of the chain or of a
+    product is 0.0 or not finite: there a product drops or spoils its lead.
+    """
+    a, b = c._iterms, x._iterms
+    if not a or not b:
+        return None
+    (ea, ca), (eb, cb) = a[0], b[0]
+    da, db = c._den, x._den
+    den = da * db // math.gcd(da, db)
+    fa, fb = den // da, den // db
+    ea *= fa
+    eb *= fb
+    ha = None if c._h is None else c._h * fa
+    hb = None if x._h is None else x._h * fb
+    chain = powers(cb, ns, 1.0)
+    out = {}
+    for n in ns:
+        coeff = ca * chain[n]  # 0.0, inf or nan if any float on its way was
+        if coeff == 0.0 or not math.isfinite(coeff):
+            return None
+        h = None if ha is None else ha + n * eb
+        if n and hb is not None:
+            k = hb + (n - 1) * eb + ea
+            if h is None or k < h:
+                h = k
+        out[n] = _number(den, h, ((ea + n * eb, coeff),))
+    return out
 
 
 def gap_exceeds(a: tuple, b: tuple) -> bool:

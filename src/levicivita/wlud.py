@@ -16,20 +16,23 @@ Each pair is decided at each order from leading terms: |residual| and
 eps*|y-x|^k are ordered by the first term where the two differ, and the
 margin is the gap of their valuations.  So the walk finds the residual's
 first visible term (below both horizons and above the binary64 noise floor)
-and weighs it against the bound's leading term.  It builds the full
-|residual| only for the pair an order reports and for a pair whose two
+and weighs it against the bound's leading term, which it forms alone from
+the leading terms of eps and |y-x|.  It builds the full |residual| and the
+full bound only for the pair an order reports and for a pair whose two
 leading terms are equal; every verdict and report equals the one the full
 numbers give.
 
 The delta ladder reads only each check's verdict, and with eps = 1 a pair's
 verdict is read at lambda(rhs) = k*lambda(y-x).  So with two or more orders
 left its walk reads each pair first on Taylor sums formed only below
-max(lambda(rhs)) + 1, not up to the working horizon.  Those cut sums can
-prove a pair below the bound or indistinguishable at horizon, so those
-readings stand; every other reading, a tie or a violation, is read again
-on the full sums.  This is adaptive evaluation in the sense of Shewchuk
-(Discrete Comput. Geom. 18, 1997): the fast filter keeps only the answers
-it certifies.  Every ladder entry is the one the full sums give.
+max(lambda(rhs)) + 1, read off the bounds' leading terms, not up to the
+working horizon.  Those cut sums can prove a pair below the bound or
+indistinguishable at horizon, so those readings stand; every other
+reading, a tie or a violation, is read again on the full sums.  This is
+adaptive evaluation in the sense of Shewchuk (Discrete Comput. Geom. 18,
+1997): the fast filter keeps only the answers it certifies, and the full
+bound is built only where something reads it.  Every ladder entry is the
+one the full sums give.
 
 The analyticity certificates chain these checks: a delta ladder for eps = 1
 at each order, a growth estimate lambda0 for the jet coefficients, a
@@ -60,6 +63,7 @@ from .core import (
     gap_value,
     leading_difference,
     monomial,
+    power_leads,
     powers,
 )
 from .expr import Expr, eval_lc
@@ -302,17 +306,20 @@ def _run_check(
     Each sample point is evaluated once, as a jet of jet_order >= max(ks),
     and keeps f's value (coefficient 0 of the jet) with its largest
     coefficient size: a pair reads T_k[f, xi] off the jet at xi and f(eta)
-    off the point eta.  A pair forms |v|^k for its live orders from one
-    square chain (``core.powers``).  An order decides the pair from the
-    first visible term of f(eta) - T_k alone (``core.leading_difference``,
-    then ``core.compare_lead``); it builds the full |residual| only for the
-    pair it reports, or when that term ties the bound's leading term.  An
+    off the point eta.  An order decides the pair from the first visible
+    term of f(eta) - T_k alone (``core.leading_difference``), weighed by
+    ``core.compare_lead`` against the leading term of eps*|v|^k, which
+    ``core.power_leads`` forms from those of eps and |v|.  It builds the
+    full |residual| and the full eps*|v|^k (``core.powers``) only for the
+    pair it reports, or when the two leading terms tie; where a lead would
+    underflow or overflow, the pair takes the full bounds throughout.  An
     order leaves the walk at its first violating pair; the walk ends when no
     order is left.  Returns one report per order, in the order of ks.
 
     With ``verdict_only`` the reports keep no worst pair and no margin, and
     a pair with two or more live orders and lambda(v) > 0 is read first on
-    Taylor sums cut at H = max(lambda(rhs)) + 1 (``_cut_horizon``).  Below
+    Taylor sums cut at H = lambda(eps) + max(orders)*lambda(v) + 1, the top
+    bound's leading exponent plus one (no cut on the full bounds).  Below
     H they equal the uncut sums to the bit, so the uncut residual's first
     visible term is the cut one or a later one, and lambda(rhs) < H: a
     reading of LESS or EQUAL_AT_HORIZON on the cut sums is final.  Every
@@ -335,15 +342,20 @@ def _run_check(
         _, feta, feta_scale = seen[j]
         v = tuple(eta[m] - xi[m] for m in range(len(center)))
         norm = _sup_norm(v)
-        norm_powers = powers(norm, orders, ONE)
-        rhss = [eps * norm_powers[k] for k in orders]
-        cut = _cut_horizon(norm, rhss) if verdict_only and len(orders) > 1 else INF
+        rhss = power_leads(eps, norm, orders)  # the bounds' leading terms
+        built = rhss is None  # a lead under- or overflows: the full bounds
+        if built:
+            norm_powers = powers(norm, orders, ONE)
+            rhss = {k: eps * norm_powers[k] for k in orders}
+        cut = INF
+        if verdict_only and len(orders) > 1 and not built and norm.valuation() > 0:
+            cut = rhss[orders[-1]].valuation() + 1
         full = None  # the uncut sums, once a cut reading needs them
         dropped = False
         sums = partial_taylor_sums(jet_xi, v, orders, cut)
         for idx, (t, approx) in enumerate(zip(live, sums)):
             t.samples += 1
-            rhs, at = rhss[idx], cut
+            rhs, at = rhss[t.k], cut
             while True:
                 floor = _noise_floor(feta_scale, approx)
                 order, margin = compare_lead(abs(leading_difference(feta, approx, floor)), rhs)
@@ -355,6 +367,8 @@ def _run_check(
                 approx, at = full[idx], INF
             wider = keep and (t.margin is None or gap_exceeds(margin, t.margin))
             if wider or order is None or (keep and order is Ordering.GREATER):
+                if not built:  # the bound in full, for the report or a tie
+                    rhs = eps * powers(norm, (t.k,), ONE)[t.k]
                 lhs = abs((feta - approx).without_small(floor))
                 if order is None:  # equal leading terms: the full numbers decide
                     order = lhs.compare(rhs)
@@ -378,19 +392,6 @@ def _run_check(
         )
         for t in tallies
     ]
-
-
-def _cut_horizon(norm: LCNumber, rhss: Sequence[LCNumber]):
-    """H = max(lambda(rhs)) + 1 when lambda(|v|) > 0 and every rhs has a
-    visible term, else INF (no cut).
-
-    With lambda(|v|) <= 0 a product's coefficients below H would read
-    coefficients past it.
-    """
-    if not norm.valuation() > 0:
-        return INF
-    top = max(rhs.valuation() for rhs in rhss)
-    return INF if top == INF else top + 1
 
 
 def delta_ladder_search(

@@ -6,17 +6,21 @@ leading term of ``x + (-y)``, ``core.power`` must equal the
 square-and-multiply loop that starts from the unit, and ``core.powers``
 must equal ``core.power``.  ``core.leading_difference`` must be the leading
 term of ``(x - y).without_small(tol)``, and ``core.compare_lead`` must be
-``compare`` and the valuation gap wherever the leading terms differ.  Each is compared bit
-for bit: the grid, the coefficients' binary64 bits and the horizon with its
-type.  Coefficients include values that round and values whose products
-underflow, exponents sit on unequal grids, and numbers may be empty with a
-finite horizon.  Sums and products of one-term numbers, exact or with a
+``compare`` and the valuation gap wherever the leading terms differ, and
+``core.power_leads`` must be the leading term of ``c * powers(x, ns, ONE)[n]``
+with that product's horizon, or None exactly where the float chain of the
+leading coefficients reaches 0.0 or a value that is not finite.  Each is
+compared bit for bit: the grid, the coefficients' binary64 bits and the
+horizon with its type.  Coefficients include values that round and values
+whose products underflow, exponents sit on unequal grids, and numbers may
+be empty with a finite horizon.  Sums and products of one-term numbers, exact or with a
 finite horizon, take the same merge and product as any other operands and
 must equal the number built from the exact reference terms.  A number
 passed as the cap stands for its horizon.
 """
 
 import cProfile
+import math
 import pstats
 from fractions import Fraction
 from pathlib import Path
@@ -26,11 +30,11 @@ from hypothesis import strategies as st
 
 from levicivita import (
     D, INF, LCNumber, ONE, Ordering, ZERO, diff_symbolic, eval_lc, parse_expr,
-    taylor_jet,
+    monomial, taylor_jet,
 )
 from levicivita.calculus import _LC, _Jet, _layout
 from levicivita.core import (
-    compare_lead, gap_exceeds, gap_value, leading_difference, power, powers,
+    compare_lead, gap_exceeds, gap_value, leading_difference, power, power_leads, powers,
 )
 from levicivita.expr import _float_inv
 
@@ -206,6 +210,61 @@ def test_power_of_lc_numbers(x, n):
     chain = powers(x, range(17), ONE)
     for m in range(17):
         assert bits(chain[m]) == bits(power(x, m, ONE)), m
+
+
+def leading_term(x: LCNumber) -> LCNumber:
+    """x's first visible term, as a number with x's horizon."""
+    return LCNumber(x.terms[:1], x.horizon)
+
+
+def float_chain_fails(c: LCNumber, x: LCNumber, ns) -> bool:
+    """Whether a leading coefficient of the chain c * x^n is 0.0 or not
+    finite (or c or x has none)."""
+    if not c or not x:
+        return True
+    chain = powers(x.terms[0][1], ns, 1.0)
+    values = list(chain.values()) + [c.terms[0][1] * chain[n] for n in ns]
+    return any(p == 0.0 or not math.isfinite(p) for p in values)
+
+
+@props
+@given(
+    numbers(max_terms=4),
+    numbers(max_terms=3),
+    st.sets(st.integers(0, 8), min_size=1).map(sorted),
+)
+def test_power_leads_are_the_leading_terms_of_the_scaled_powers(x, eps, ns):
+    got = power_leads(eps, x, ns)
+    assert (got is None) is float_chain_fails(eps, x, ns)
+    if got is None:
+        return
+    chain = powers(x, ns, ONE)
+    assert sorted(got) == ns
+    for n in ns:
+        assert bits(got[n]) == bits(leading_term(eps * chain[n])), n
+
+
+def test_power_leads_refuse_a_chain_that_underflows_or_overflows():
+    tiny, huge = monomial(1, 1e-200), LCNumber.from_real(1e200)
+    assert power_leads(ONE, tiny, [2]) is None
+    assert not tiny * tiny  # the product's lead underflowed and went
+    assert power_leads(ONE, huge, [2]) is None
+    assert (huge * huge).terms[0][1] == math.inf
+    assert power_leads(huge, huge, [0]) is not None
+    assert power_leads(huge, huge, [0, 1]) is None  # only the last product overflows
+    assert power_leads(ZERO, D, [1]) is None
+    assert power_leads(ONE, LCNumber([], 3), [1]) is None
+
+
+def test_power_leads_at_order_0_keep_the_horizon_of_c():
+    # c * x^0 is c * ONE, of horizon h(c) = 5; the product rule's second
+    # term h(x) + (n-1)*lambda(x) + lambda(c) would read 3 - 1 + 0 = 2.
+    x = LCNumber([(1, 2.0), (2, 1.0)], Fraction(3))
+    c = LCNumber([(0, 1.5), (1, 1.0)], Fraction(5))
+    got = power_leads(c, x, [0, 1, 3])
+    assert got[0].horizon == 5 and got[0].terms == ((0, 1.5),)
+    for n in (0, 1, 3):
+        assert bits(got[n]) == bits(leading_term(c * power(x, n, ONE))), n
 
 
 @props

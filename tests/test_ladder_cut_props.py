@@ -11,7 +11,9 @@ polynomials and on exp, sin and 1/(1-x), at one and two variables, exact
 centres and centres with a finite horizon, the default and custom ladders,
 random plans and a slice of C210; the ladder entries must agree to the
 bits.  Further tests pin that the cut sums are the uncut ones truncated,
-that ties and violations take the uncut path, and that the cut stays on.
+that ties and violations take the uncut path, that the cut stays on, and
+that the walk builds a full bound eps*|v|^k only for a pair it reports or a
+tie.
 """
 
 from fractions import Fraction
@@ -369,3 +371,59 @@ def test_pairs_with_lambda_v_at_most_0_take_no_cut(monkeypatch):
     flat = [cut for lam, n, cut in seen if lam <= 0]
     assert flat and all(cut is INF for cut in flat)
     assert any(cut is not INF for lam, n, cut in seen if lam > 0 and n > 1)
+
+
+def reading_log(monkeypatch):
+    """Record each ``compare_lead`` result of the walk, and "powers" for
+    each full bound it builds."""
+    log = []
+    real_lead, real_powers = wlud.compare_lead, wlud.powers
+
+    def lead(lhs, rhs):
+        out = real_lead(lhs, rhs)
+        log.append(out)
+        return out
+
+    def chain(x, ns, one):
+        log.append("powers")
+        return real_powers(x, ns, one)
+
+    monkeypatch.setattr(wlud, "compare_lead", lead)
+    monkeypatch.setattr(wlud, "powers", chain)
+    return log
+
+
+def test_full_bounds_only_for_reported_pairs_and_ties(monkeypatch):
+    log = reading_log(monkeypatch)
+    f, x0 = parse_expr("exp(x+y)"), (ZERO, ZERO)
+    entries = _delta_ladder_search_nd(f, ["x", "y"], x0, 5, None, None)
+    assert [k for k, _, _ in entries] == [1, 2, 3, 4, 5]
+    assert len(log) > 1000 and "powers" not in log
+    # A one-order check reads each pair once and reports it when its margin
+    # is the widest so far or it fails; a tie reads the full numbers.
+    checks = [
+        ("x^3 - 2*x + 1", 2, ONE, None), ("3*x^6 - x^2 + 5", 4, ONE, None),
+        ("abs(x)", 1, ONE, None), ("x^2", 1, D, PairPlan(D + monomial(F(3, 2)))),
+    ]
+    for text, k, eps, plan in checks:
+        log.clear()
+        report = wlud.wlud_check_1d(parse_expr(text), "x", ZERO, k, eps, D, plan)
+        readings = [item for item in log if item != "powers"]
+        assert len(readings) == report.samples
+        want, widest = [], None
+        for order, gap in readings:
+            wider = widest is None or gap_exceeds(gap, widest)
+            if wider:
+                widest = gap
+            want.append(order)
+            if wider or order is None or order is Ordering.GREATER:
+                want.append("powers")
+        assert [item if item == "powers" else item[0] for item in log] == want
+    # Verdict-only, the tie of test_a_tie_at_lambda_rhs_takes_the_uncut_path
+    # builds order 1's bound, and order 2, which passes, builds none.
+    log.clear()
+    plan = PairPlan(D + monomial(F(3, 2)))
+    assert verdicts(parse_expr("x^2"), [1, 2], D, plan, verdict_only=True) == ["fail", "pass"]
+    assert [item if item == "powers" else item[0] for item in log] == [
+        None, None, "powers", Ordering.LESS,
+    ]

@@ -8,7 +8,9 @@ verbatim with its two helpers as the reference.  Both run on random
 polynomials and on exp, sin and 1/(1-x), at exact centres and at centres
 with a finite horizon, for ascending orders up to 1..4, with one and two
 variables; every report field must agree, the numbers of ``worst_pair`` to
-their coefficients' bits.
+their coefficients' bits.  A pair whose bound's leading coefficient
+underflows, and an order-0 check at a centre with a finite horizon, take
+the walk's other paths and must agree too.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from levicivita import (
     D, INF, LCNumber, ONE, Ordering, SamplingPlan, ZERO, monomial, parse_expr,
 )
 from levicivita.calculus import PartialJet, partial_jet, partial_taylor_sums
-from levicivita.core import compare_lead, leading_difference
+from levicivita.core import compare_lead, leading_difference, power_leads
 from levicivita.wlud import (
     RESIDUAL_REL_TOL, WludReport, _run_check, _sup_norm, _Tally,
 )
@@ -232,3 +234,40 @@ def test_a_tie_of_the_leading_terms_is_decided_on_the_full_residual():
     assert report.result == "fail"
     assert_same_walk(f, ["x"], (ZERO,), [1], 1, D, D, plan)
     assert_same_walk(f, ["x"], (ZERO,), [1, 2], 2, D, D, plan)
+
+
+# -- the full bounds' path, and order 0 ------------------------------------------------
+
+
+class PairPlan(SamplingPlan):
+    """The points x0 and x0 + w alone, walked as the one pair (x0, x0 + w)."""
+
+    def __init__(self, w):
+        super().__init__(max_pairs=1)
+        object.__setattr__(self, "w", w)
+
+    def points_nd(self, x0, delta):
+        return [tuple(x0), (x0[0] + self.w,)]
+
+
+def test_a_bound_whose_lead_underflows_is_read_in_full():
+    # |v|^2 = 1e-400*d^2 underflows, so the bounds' leading terms are not
+    # formed alone: the pair is read against the full bounds, where
+    # eps*|v|^2 has no visible term.
+    w = monomial(1, 1e-200)
+    assert power_leads(ONE, w, [1, 2]) is None
+    plan = PairPlan(w)
+    for text in ["exp(x)", "x^3 - 2*x + 1", "x^2"]:
+        assert_same_walk(parse_expr(text), ["x"], (ZERO,), [1, 2], 2, ONE, D, plan)
+        assert_same_walk(parse_expr(text), ["x"], (ZERO,), [2], 2, ONE, D, plan)
+
+
+def test_order_0_at_a_centre_with_a_finite_horizon():
+    # At k = 0 the bound is eps itself, and |v| carries the centre's finite
+    # horizon 6; the walk must agree with the full-bound reference there.
+    centre = (LCNumber([(0, 0.5)], F(6)),)
+    plan = SamplingPlan(max_pairs=40)
+    for eps in [ONE, D, LCNumber([(0, 1.0)], F(9))]:
+        for text in ["exp(x)", "sin(x)", "x^2 + 1"]:
+            assert_same_walk(parse_expr(text), ["x"], centre, [0], 0, eps, D, plan)
+            assert_same_walk(parse_expr(text), ["x"], centre, [0, 1], 1, eps, D, plan)
