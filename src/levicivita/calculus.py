@@ -15,7 +15,8 @@ At an exactly-known real center every LC operation of the jet is one
 binary64 operation, so the jet runs over floats, as ``eval_lc`` does, with
 results bit-identical to LC arithmetic; if that walk raises or leaves a
 coefficient that is not finite, the LC walk runs and decides.  The two are
-one set of jet loops over two coefficient domains.
+one set of jet loops over two coefficient domains, the records ``_REAL``
+and ``_LC`` of ``expr`` that ``eval_lc`` walks too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import methodcaller
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import series
 from .core import D, INF, LCNumber, ONE, Ordering, ZERO, as_lc, power
@@ -36,7 +36,7 @@ from .errors import (
     OrderTooHighError,
     ZeroDenominatorError,
 )
-from .expr import _FLOAT_WALK_ERRORS, Expr, _float_apply, _float_inv, eval_lc, evaluate
+from .expr import _FLOAT_WALK_ERRORS, _LC, _REAL, Expr, _Domain, eval_lc, evaluate
 
 
 @dataclass(frozen=True)
@@ -58,70 +58,20 @@ class PartialJet:
         return self.table[alpha] * scale
 
 
-# -- coefficient domains -------------------------------------------------------
-
-
-class _Domain(NamedTuple):
-    """The scalar hooks of jet arithmetic over one coefficient type.
-
-    The jet loops use ``+ - *`` of the coefficients and these hooks only;
-    ``zero`` is the one coefficient they skip, by identity.
-    """
-
-    zero: object
-    one: object
-    lift: Callable  # a constant, given as its binary64 value
-    inv: Callable
-    sign: Callable  # the Ordering of a value against 0
-    exp: Callable
-    sin_cos: Callable
-    ln: Callable
-    sqrt: Callable
-
-
-def _real_sign(x: float) -> Ordering:
-    if x > 0.0:
-        return Ordering.GREATER
-    if x < 0.0:
-        return Ordering.LESS
-    return Ordering.EQUAL_AT_HORIZON  # 0, and nan, whose jet falls back
-
-
-_LC = _Domain(
-    zero=ZERO, one=ONE, lift=LCNumber.from_real, inv=methodcaller("inv"),
-    sign=methodcaller("compare", ZERO), exp=series.exp, sin_cos=series._sin_cos,
-    ln=series.ln, sqrt=functools.partial(series.nth_root, n=2),
-)
-
-# At exactly-known reals each LC operation of a jet is one binary64
-# operation, as in eval_lc's float walk, whose hooks these are.  Only this
-# 0.0 is skipped: a computed 0.0 still forms its products, which are 0 as
-# in LC unless the other factor is inf or nan.  A value that is not finite
-# reaches the result or a hook and sends the jet to the LC walk, or is
-# dropped (x^0, a skipped zero) where LC drops it too.
-_REAL = _Domain(
-    zero=0.0, one=1.0, lift=float, inv=_float_inv, sign=_real_sign,
-    exp=functools.partial(_float_apply, "exp"),
-    sin_cos=lambda x: (_float_apply("sin", x), _float_apply("cos", x)),
-    ln=functools.partial(_float_apply, "ln"),
-    sqrt=functools.partial(_float_apply, "sqrt"),
-)
-
-
 # -- scaled derivative ladders of the elementary functions ---------------------
 
 
 def _scaled_derivs(dom: _Domain, name: str, a0, k: int) -> list:
     """[f(a0), f'(a0)/1!, ..., f^(k)(a0)/k!] for an elementary f."""
     if name == "exp":
-        e = dom.exp(a0)
+        e = dom.apply("exp", a0)
         return [e * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name in ("sin", "cos"):
         s, c = dom.sin_cos(a0)
         cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
         return [cycle[n % 4] * (1.0 / math.factorial(n)) for n in range(k + 1)]
     if name == "ln":
-        out = [dom.ln(a0)]
+        out = [dom.apply("ln", a0)]
         if k:
             ia = dom.inv(a0)
             p = dom.one
@@ -137,7 +87,7 @@ def _scaled_derivs(dom: _Domain, name: str, a0, k: int) -> list:
             )
         if sign is Ordering.LESS:
             raise NotPositiveError("sqrt of a negative value")
-        out = [dom.sqrt(a0)]
+        out = [dom.apply("sqrt", a0)]
         if k:
             ia = dom.inv(a0)
             cur = out[0]

@@ -27,10 +27,10 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from operator import index, methodcaller
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from . import series
-from .core import INF, LCNumber, as_lc, default_horizon, power
+from .core import INF, LCNumber, ONE, Ordering, ZERO, as_lc, default_horizon, power
 from .errors import (
     LCError,
     LCSyntaxError,
@@ -659,7 +659,8 @@ def evaluate(
 # (1/inf, exp(-inf)), so every hook rejects a nan or inf argument.  Sums and
 # products raise in neither domain; 0 * inf is an exact zero in LC but nan
 # here, and that nan reaches the result or a hook, or is dropped where LC
-# drops the zero too (x^0).
+# drops the zero too (x^0, or a zero that a jet skips: only _REAL.zero
+# itself is skipped, and a computed 0.0 still forms its products).
 
 #: What a binary64 walk may raise; the LC walk then decides the outcome.
 _FLOAT_WALK_ERRORS = (ArithmeticError, ValueError, LCError, TypeError)
@@ -701,6 +702,42 @@ def _float_apply(name: str, x: float) -> float:
     return _FLOAT_FUNCTIONS[name](x)
 
 
+def _real_sign(x: float) -> Ordering:
+    if x > 0.0:
+        return Ordering.GREATER
+    if x < 0.0:
+        return Ordering.LESS
+    return Ordering.EQUAL_AT_HORIZON  # 0, and nan, whose jet falls back
+
+
+class _Domain(NamedTuple):
+    """The scalar hooks of one number type, whose values have ``+ - *``.
+
+    ``evaluate`` reads the first four; the jet loops of ``calculus`` read
+    all eight, and skip ``zero`` by identity.
+    """
+
+    lift: Callable  # a constant, given as its binary64 value
+    apply: Callable  # apply(name, x): the expression function name at x
+    inv: Callable
+    power: Callable  # power(x, n): the integer power
+    zero: object
+    one: object
+    sign: Callable  # the Ordering of a value against 0
+    sin_cos: Callable
+
+
+_REAL = _Domain(
+    float, _float_apply, _float_inv, _float_power, 0.0, 1.0, _real_sign,
+    lambda x: (_float_apply("sin", x), _float_apply("cos", x)),
+)
+
+_LC = _Domain(
+    LCNumber.from_real, series.apply_elementary, methodcaller("inv"), pow,
+    ZERO, ONE, methodcaller("compare", ZERO), series._sin_cos,
+)
+
+
 def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     """Evaluate over LC arguments, delegating to the field/series operations.
 
@@ -708,7 +745,8 @@ def eval_lc(e: Expr, env: Mapping[str, LCNumber]) -> LCNumber:
     result is always an LCNumber.  When every argument is an exactly-known
     real, the walk runs in binary64, with results bit-identical to LC
     arithmetic.  If that walk raises or ends in a non-finite value, the LC
-    walk runs, and its value or exception is the answer.
+    walk runs, and its value or exception is the answer.  The two walks
+    take the hooks of _REAL and _LC.
     """
     lc_env, point = {}, {}
     for name, x in env.items():

@@ -32,11 +32,11 @@ from levicivita import (
     D, INF, LCNumber, ONE, Ordering, ZERO, diff_symbolic, eval_lc, parse_expr,
     monomial, taylor_jet,
 )
-from levicivita.calculus import _LC, _Jet, _layout
+from levicivita.calculus import _Jet, _layout
 from levicivita.core import (
     compare_lead, gap_exceeds, gap_value, leading_difference, power, power_leads, powers,
 )
-from levicivita.expr import _float_inv
+from levicivita.expr import _LC, _float_inv
 
 #: Run times on a shared machine vary too much for a per-example deadline.
 props = settings(deadline=None, max_examples=300)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import levicivita
 from levicivita import INF, LCNumber, parse_expr, partial_jet
-from levicivita.calculus import _LC, _Jet, _layout, partial_taylor_sums
+from levicivita.calculus import _Jet, _layout, partial_taylor_sums
 from levicivita.core import _horizon_pair, _on_grid
+from levicivita.expr import _LC
 
 #: Run times on a shared machine vary too much for a per-example deadline.
 props = settings(deadline=None, max_examples=300)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicivita import LCNumber, parse_expr, partial_jet, taylor_jet
-from levicivita.calculus import _LC, _layout, _walk
+from levicivita.calculus import _layout, _walk
+from levicivita.expr import _LC
 
 from _corpus import BASE_POINTS, CORPUS_30
 
