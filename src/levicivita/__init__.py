@@ -16,14 +16,11 @@ from .core import (
     ONE,
     Ordering,
     ZERO,
-    approx_equal,
     compare,
     default_horizon,
     format_lc,
     horizon,
     monomial,
-    much_less,
-    set_default_horizon,
     ultrametric,
     valuation,
 )
@@ -42,7 +39,6 @@ from .series import (
     nth_root,
     recenter,
     sin,
-    sum_at,
 )
 from .expr import (
     Add,
@@ -68,7 +64,6 @@ from .calculus import (
     multi_indices,
     partial_jet,
     taylor_jet,
-    taylor_polynomial_eval,
 )
 from .wlud import (
     AnalyticityCertificate,
@@ -85,4 +80,4 @@ from .wlud import (
     wlud_check_nd,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -374,8 +374,7 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     """sum(table[alpha] * v^alpha) over |alpha| <= k, by nested Horner.
 
     Equals f(x0) + sum((1/j!) * ((v . grad)^j f)(x0), j = 1..k) with the
-    factorials cancelled.  With one variable it is exactly
-    ``taylor_polynomial_eval``.
+    factorials cancelled.
     """
     return partial_taylor_sums(pj, v, [k])[0]
 
@@ -454,15 +453,6 @@ def partial_taylor_sums(
                 total = total + parts[j]
         sums.append(total)
     return sums
-
-
-def taylor_polynomial_eval(jet: series.PowerSeries, y, k: int) -> LCNumber:
-    """Evaluate the degree-k Taylor polynomial of the jet at y (Horner).
-
-    This is ``partial_taylor_eval`` on the jet's one-variable table.
-    """
-    pj = PartialJet((jet.center,), jet.jmax, {(j,): c for j, c in enumerate(jet.coeffs)})
-    return partial_taylor_eval(pj, (as_lc(y) - jet.center,), k)
 
 
 def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:

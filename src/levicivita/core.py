@@ -62,8 +62,6 @@ from fractions import Fraction
 from operator import methodcaller
 from typing import Iterable, Sequence, Union
 
-from .errors import ZeroOperandError
-
 Scalar = Union[int, float, Fraction]
 #: Valuations and horizons: an exact rational, or +/-inf (floats only there).
 Valuation = Union[Fraction, float]
@@ -87,11 +85,6 @@ def _checked_horizon(horizon: Scalar) -> Fraction:
     if hz is None or hz[0] <= 0:
         raise ValueError(f"default horizon must be positive and finite, got {horizon!r}")
     return Fraction(*hz)
-
-
-def set_default_horizon(horizon: Scalar) -> None:
-    """Set the default horizon of the current thread or task."""
-    _default_horizon.set(_checked_horizon(horizon))
 
 
 @contextmanager
@@ -986,15 +979,6 @@ def gap_value(gap: tuple) -> Valuation:
     return Fraction(num, den) if den else INF if num > 0 else -INF
 
 
-def much_less(x: LCNumber, y: LCNumber) -> bool:
-    """True when |x| is infinitely smaller than |y|: n|x| < |y| for all n."""
-    if x.is_zero:
-        raise ZeroOperandError("left operand has no visible terms")
-    if y.is_zero:
-        raise ZeroOperandError("right operand has no visible terms")
-    return x.valuation() > y.valuation()
-
-
 def ultrametric(x: LCNumber, y: LCNumber) -> float:
     """The valuation metric exp(-lambda(x - y)), with exp(-inf) = 0."""
     lam = (x - y).valuation()
@@ -1004,22 +988,6 @@ def ultrametric(x: LCNumber, y: LCNumber) -> float:
         return math.exp(-float(lam))
     except OverflowError:  # exp(-lambda) lies past binary64
         return math.inf if lam < 0 else 0.0
-
-
-def approx_equal(x: LCNumber, y, rel_tol: float = 1e-12) -> bool:
-    """Value equality up to horizon, tolerating relative binary64 noise.
-
-    The difference's coefficients are measured against the largest
-    coefficient magnitude appearing in either operand, which is the natural
-    scale of the accumulated rounding.  Exact (e.g. dyadic) computations
-    pass with a zero difference.
-    """
-    y = LCNumber._coerce(y)
-    diff = x - y
-    if diff.is_zero:
-        return True
-    scale = max(x.max_abs_coefficient(), y.max_abs_coefficient())
-    return all(abs(c) <= rel_tol * scale for _, c in diff.terms)
 
 
 def _format_coeff(c: float) -> str:

@@ -9,10 +9,6 @@ class LCError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ZeroOperandError(LCError):
-    """An operand indistinguishable from zero where a nonzero one is required."""
-
-
 class DomainError(LCError):
     """Argument outside the domain of an elementary function."""
 
@@ -27,10 +23,6 @@ class OrderTooHighError(LCError):
 
 class EmptySeriesError(LCError):
     """Series has too few coefficients for the requested operation."""
-
-
-class NotConvergentError(LCError):
-    """Summation requested at a point outside the convergence region."""
 
 
 class NotInRadiusError(LCError):

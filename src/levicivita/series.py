@@ -35,7 +35,6 @@ from .core import (
 from .errors import (
     DomainError,
     EmptySeriesError,
-    NotConvergentError,
     NotInRadiusError,
     NotPositiveError,
     OrderTooHighError,
@@ -146,16 +145,6 @@ def converges_at(
     else:
         v = Verdict.DIVERGES
     return ConvergenceVerdict(v, lam0, gap)
-
-
-def sum_at(s: PowerSeries, x: LCNumber, window: Optional[int] = None) -> LCNumber:
-    """Sum the series at x, stopping once increments drop below the horizon."""
-    verdict = converges_at(s, x, window)
-    if verdict.verdict is not Verdict.CONVERGES:
-        raise NotConvergentError(
-            f"series does not converge at this point (gap {verdict.gap})"
-        )
-    return _taylor_sum(s, x - s.center)
 
 
 def _taylor_sum(s: PowerSeries, delta: LCNumber) -> LCNumber:

@@ -1,4 +1,5 @@
-"""Shared random-input generators for the test suite (seeded, deterministic)."""
+"""Shared random-input generators for the test suite (seeded, deterministic),
+and its one tolerant comparison of LC numbers."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 from fractions import Fraction
 
 from levicivita import LCNumber
+from levicivita.core import as_lc
 
 #: Criterion 3's expressions in x: polynomials, exp, ln, sin, cos and mixes.
 CORPUS_30 = [
@@ -85,3 +87,11 @@ def infinitesimal_vector(rng: random.Random, n: int) -> tuple[LCNumber, ...]:
             terms = [(Fraction(exps[0]), 0.5)]
         out.append(LCNumber(terms))
     return tuple(out)
+
+
+def close(x: LCNumber, y, rel_tol: float = 1e-12) -> bool:
+    """x == y up to binary64 noise: each coefficient of x - y is at most
+    rel_tol times the largest coefficient magnitude of either operand."""
+    y = as_lc(y)
+    scale = max(x.max_abs_coefficient(), y.max_abs_coefficient())
+    return all(abs(c) <= rel_tol * scale for _, c in (x - y).terms)

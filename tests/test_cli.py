@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 
 import levicivita
-from levicivita import default_horizon, set_default_horizon
+from levicivita import default_horizon
 from levicivita.cli import main
 
 
 @pytest.fixture(autouse=True)
-def _restore_horizon():
+def _horizon_does_not_leak():
+    before = default_horizon()
     yield
-    set_default_horizon(32)
+    assert default_horizon() == before
 
 
 def run(capsys, *argv):
