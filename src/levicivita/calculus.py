@@ -57,6 +57,21 @@ class PartialJet:
             scale *= math.factorial(a)
         return self.table[alpha] * scale
 
+    @functools.cached_property
+    def _tail_least(self) -> list:
+        """[j]: the least exponent a coefficient of degree above j can hold."""
+        least = [INF] * (self.order + 2)
+        for alpha, a in self.table.items():
+            least[sum(alpha)] = min(least[sum(alpha)], _least(a))
+        for j in range(self.order, 0, -1):
+            least[j] = min(least[j], least[j + 1])
+        return least[1:]
+
+
+def _least(x: LCNumber):
+    """The least exponent x can hold: its first term's, else its horizon."""
+    return x.valuation() if x else x.horizon
+
 
 # -- scaled derivative ladders of the elementary functions ---------------------
 
@@ -379,54 +394,24 @@ def partial_taylor_eval(pj: PartialJet, v: Sequence, k: int) -> LCNumber:
     return partial_taylor_sums(pj, v, [k])[0]
 
 
-def _graded_parts(
-    pj: PartialJet, vec: list[LCNumber], lo: int, hi: int, cap=INF
-) -> dict:
-    """{j: H_j} for lo <= j <= hi, H_j = sum(table[alpha] * v^alpha, |alpha| = j).
-
-    Parts whose coefficients are all exact zeros are left out, and so are
-    the monomials past the last other coefficient (a visible zero still
-    bounds the horizon).  Each monomial v^alpha is one multiplication from
-    its parent's, and each part is summed left to right.  With a ``cap``
-    (a horizon, or a sum standing for its own), each part is H_j truncated
-    there, for a caller whose sum keeps nothing at or past it; the monomials
-    stay exact.
-    """
-    layout = _layout(pj.n, pj.order)
-    # the graded indices of degree <= d are the first comb(n + d, n)
-    end = math.comb(pj.n + hi, pj.n)
-    coeffs = [pj.table[alpha] for alpha in layout.indices[:end]]
-    while end > 1 and coeffs[end - 1] is ZERO:
-        end -= 1
-    start = math.comb(pj.n + lo - 1, pj.n)
-    if end <= start:
-        return {}
-    mono = [ONE] * end
-    for p in range(1, end):
-        q, i = layout.parent[p]
-        mono[p] = vec[i] if q == 0 else mono[q] * vec[i]
-    parts = {}
-    for j in range(lo, hi + 1):
-        stop = min(end, math.comb(pj.n + j, pj.n))
-        part = None
-        for p in range(start, stop):
-            if coeffs[p] is not ZERO:
-                term = coeffs[p].__mul__(mono[p], cap)
-                part = term if part is None else part + term
-        if part is not None:
-            parts[j] = part
-        start = stop
-    return parts
-
-
 def partial_taylor_sums(
     pj: PartialJet, v: Sequence, ks: Sequence[int], cut=INF
 ) -> list[LCNumber]:
     """``partial_taylor_eval(pj, v, k)`` for each of the ascending orders ks.
 
     The lowest order is nested Horner, so it is exactly that call.  Each
-    higher order adds the graded parts H_j above the one before it
-    (degree-graded Taylor propagation).
+    higher order adds the graded parts H_j = sum(table[alpha] * v^alpha,
+    |alpha| = j) above the one before it (degree-graded Taylor
+    propagation), up to the last coefficient that is not an exact zero.
+    Each monomial v^alpha is one exact multiplication from its parent's,
+    and each term of H_j is capped at the running sum, which keeps nothing
+    at or past its own horizon.  A part that shows nothing and leaves the
+    horizon where it is adds nothing; with no ``cut`` the sum then ends
+    there if every component of v has valuation >= 0, and the least
+    exponent of the part's monomials plus the least any later coefficient
+    can hold reaches the sum's horizon: the monomials' valuations only rise
+    and the horizon only falls, so no later term is visible.  With one
+    variable this is the Taylor polynomial sum(a_j * v^j) term by term.
 
     With a horizon ``cut`` and a direction whose components have only
     positive exponents, each sum is the uncut one truncated at ``cut``, to
@@ -443,16 +428,37 @@ def partial_taylor_sums(
     if len(vec) != pj.n:
         raise ValueError(f"direction has {len(vec)} components, expected {pj.n}")
     total = _horner(pj.table, _horner_plan(pj.n, ks[0]), vec, cut)
-    sums = [total]
     if len(ks) == 1:
-        return sums
-    parts = _graded_parts(pj, vec, ks[0] + 1, top, total)
-    for below, k in zip(ks, ks[1:]):
-        for j in range(below + 1, k + 1):
-            if j in parts:
-                total = total + parts[j]
-        sums.append(total)
-    return sums
+        return [total]
+    sums = {ks[0]: total}  # order: the sum to it
+    n, layout = pj.n, _layout(pj.n, pj.order)
+    coeffs = [pj.table[alpha] for alpha in layout.indices[: math.comb(n + top, n)]]
+    while len(coeffs) > 1 and coeffs[-1] is ZERO:  # a visible zero bounds the horizon
+        coeffs.pop()
+    mono = [ONE] * len(coeffs)
+    start = 1  # the graded indices of degree < j are the first comb(n + j - 1, n)
+    for j in range(1, top + 1):
+        stop = min(len(coeffs), math.comb(n + j, n))
+        if stop <= start:
+            break
+        for p in range(start, stop):
+            q, i = layout.parent[p]
+            mono[p] = vec[i] if q == 0 else mono[q] * vec[i]
+        if j > ks[0]:
+            part = None
+            for p in range(start, stop):
+                if coeffs[p] is not ZERO:
+                    term = coeffs[p].__mul__(mono[p], total)
+                    part = term if part is None else part + term
+            if part is not None and (part or cut is not INF or part.horizon < total.horizon):
+                total = total + part
+            elif cut is INF and all(c.valuation() >= 0 for c in vec) and (
+                min(map(_least, mono[start:stop])) + pj._tail_least[j] >= total.horizon
+            ):
+                break
+            sums[j] = total
+        start = stop
+    return [sums.get(k, total) for k in ks]
 
 
 def lhopital_limit(f: Expr, g: Expr, var: str, a) -> LCNumber:

@@ -826,16 +826,16 @@ def compare(x: LCNumber, y) -> Ordering:
     return x.compare(y)
 
 
-def _first_difference(x: LCNumber, y: LCNumber, tol: float):
-    """(e, c, den, h): the first term c * d^(e/den) of x - y below both
-    horizons with abs(c) > tol >= 0, where den is the common grid of x and
-    y and h is the horizon of x - y on it (None when infinite); e is None
-    when no term qualifies.
+def leading_difference(x: LCNumber, y: LCNumber, tol: float) -> LCNumber:
+    """The first term of x - y below both horizons whose coefficient is
+    larger than tol >= 0 in size, as a number of that one term with the
+    horizon of x - y; no terms when there is none.
 
-    One merge over the two term lists, with the float subtraction of
-    ``__add__``; the difference itself is not built.  It mirrors the walk
-    of ``compare``, which keeps its own loop, without the tolerance test,
-    for the field's order.
+    It is the leading term of ``(x - y).without_small(tol)``, found by one
+    merge over the two term lists, with the float subtraction of
+    ``__add__``, that builds no difference.  It mirrors the walk of
+    ``compare``, which keeps its own loop, without the tolerance test, for
+    the field's order.
     """
     a, b = x._iterms, y._iterms
     da, db = x._den, y._den
@@ -865,16 +865,16 @@ def _first_difference(x: LCNumber, y: LCNumber, tol: float):
             e, c = eb, -cb
             j += 1
         if h is not None and e >= h:
-            return None, 0.0, den, h  # the terms are sorted
+            return _number(den, h, ())  # the terms are sorted
         if abs(c) > tol:
-            return e, c, den, h
+            return _number(den, h, ((e, c),))
     while i < na:  # the tail of one list alone
         e, c = a[i]
         e *= fa
         if h is not None and e >= h:
             break
         if abs(c) > tol:
-            return e, c, den, h
+            return _number(den, h, ((e, c),))
         i += 1
     while j < nb:
         e, c = b[j]
@@ -882,21 +882,9 @@ def _first_difference(x: LCNumber, y: LCNumber, tol: float):
         if h is not None and e >= h:
             break
         if abs(c) > tol:
-            return e, -c, den, h
+            return _number(den, h, ((e, -c),))
         j += 1
-    return None, 0.0, den, h
-
-
-def leading_difference(x: LCNumber, y: LCNumber, tol: float) -> LCNumber:
-    """The first term of x - y below both horizons whose coefficient is
-    larger than tol >= 0 in size, as a number of that one term with the
-    horizon of x - y; no terms when there is none.
-
-    It is the leading term of ``(x - y).without_small(tol)``, found by one
-    merge that builds no difference.
-    """
-    e, c, den, h = _first_difference(x, y, tol)
-    return _number(den, h, () if e is None else ((e, c),))
+    return _number(den, h, ())
 
 
 def compare_lead(lhs: LCNumber, rhs: LCNumber):
@@ -920,10 +908,7 @@ def compare_lead(lhs: LCNumber, rhs: LCNumber):
         gap = (eb * da - ea * db, da * db)
         if not gap[0] and ca == cb:
             return None, gap
-    e, c, _, _ = _first_difference(lhs, rhs, 0.0)
-    if e is None:
-        return Ordering.EQUAL_AT_HORIZON, gap
-    return Ordering.GREATER if c > 0 else Ordering.LESS, gap
+    return lhs.compare(rhs), gap
 
 
 def power_leads(c: LCNumber, x: LCNumber, ns: Sequence[int]):

@@ -7,12 +7,13 @@ valuations: with lambda0 = limsup(-lambda(a_j)/j), the series converges in
 the order topology exactly where lambda(x - center) > lambda0.  Only
 finitely many coefficients are ever available, so lambda0 is estimated by a
 max over a trailing window and every verdict carries that finite-sample
-context.
+context.  This module classifies, differentiates and recentres a series;
+it does not sum one.  The sum is ``calculus.partial_taylor_sums`` on the
+series' one-variable table, as in the 1-D certificate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,14 +58,6 @@ class PowerSeries:
     @property
     def jmax(self) -> int:
         return len(self.coeffs) - 1
-
-    @functools.cached_property
-    def _tail_least(self) -> list[Valuation]:
-        """[m]: the least exponent the last m coefficients can hold."""
-        tail = [INF]
-        for a in reversed(self.coeffs):
-            tail.append(min(_least(a), tail[-1]))
-        return tail
 
     def __str__(self):
         c = format_lc(self.center)
@@ -145,33 +138,6 @@ def converges_at(
     else:
         v = Verdict.DIVERGES
     return ConvergenceVerdict(v, lam0, gap)
-
-
-def _taylor_sum(s: PowerSeries, delta: LCNumber) -> LCNumber:
-    coeffs = s.coeffs
-    acc = ZERO
-    power = ONE
-    for j, a in enumerate(coeffs):
-        if j:
-            power = power * delta
-        term = a.__mul__(power, acc)
-        # a term cut at acc's horizon shows something below it, unless it
-        # is empty; an empty term still lowers the sum's horizon to its own
-        if term or term.horizon < acc.horizon:
-            acc = acc + term
-        elif (
-            delta.valuation() >= 0
-            and _least(power) + s._tail_least[len(coeffs) - j - 1] >= acc.horizon
-        ):
-            # With lambda(delta) >= 0 the valuations of the powers only rise
-            # and the horizon of acc only falls, so no later term is visible.
-            break
-    return acc
-
-
-def _least(x: LCNumber) -> Valuation:
-    """The least exponent x can hold: its first term's, else its horizon."""
-    return x.valuation() if x else x.horizon
 
 
 def differentiate_termwise(s: PowerSeries, j: int) -> PowerSeries:

@@ -70,9 +70,7 @@ from .expr import Expr, eval_lc
 from .calculus import (
     PartialJet, _checked_point, partial_jet, partial_taylor_eval, partial_taylor_sums
 )
-from .series import (
-    PowerSeries, _growth, _taylor_sum, _working_horizon, growth_window, recenter
-)
+from .series import PowerSeries, _growth, _working_horizon, growth_window, recenter
 
 _NEG_INF = -math.inf
 
@@ -465,7 +463,8 @@ def analyticity_certificate_1d(
         stride = max(1, len(pts) // 4)
         fvals: dict[int, tuple] = {}  # f(y) and its scale, once per y
         for x in [x0] + pts[::stride][:4]:
-            series_x = ps if x == x0 else recenter(ps, x, window)
+            coeffs = ps.coeffs if x == x0 else recenter(ps, x, window).coeffs
+            jet_x = PartialJet((x,), jmax, {(j,): c for j, c in enumerate(coeffs)})
             for idx, y in enumerate(pts):
                 if y == x:
                     continue
@@ -475,7 +474,8 @@ def analyticity_certificate_1d(
                 fy, scale = fvals[idx]
                 inc = y - x
                 cap = _working_horizon(fy)
-                yield x, y, fy, scale, _taylor_sum(series_x, inc.truncate(cap)), (inc,)
+                approx = partial_taylor_sums(jet_x, (inc.truncate(cap),), [0, jmax])[1]
+                yield x, y, fy, scale, approx, (inc,)
 
     return _certify(x0, pj, jmax, kmax, window, entries, interval_identity)
 
@@ -515,10 +515,12 @@ def _certify(x0, pj: PartialJet, jmax, kmax, window, entries, identity):
     ``identity(delta)`` yields ``(x, y, f(y), scale, approx, increment)``
     per sampled check, where scale is f(y)'s ``max_abs_coefficient()``,
     approx is the Taylor sum at x and increment holds the components of
-    y - x.  Only f(y)'s own horizon is checkable, so the phases truncate
-    the increment there, which also lets sums end early.  A visible
-    residual is classified at lambda of the increment's sup norm, which
-    reads its first visible term alone.
+    y - x.  Both phases sum by ``partial_taylor_sums``: the 1-D phase to
+    order jmax from order 0 on the table recentred at x, the n-D phase by
+    Horner on the table at the centre.  Only f(y)'s own horizon is
+    checkable, so the phases truncate the increment there, which also lets
+    the 1-D sums end early.  A visible residual is classified at lambda of
+    the increment's sup norm, which reads its first visible term alone.
     """
     graded = [(sum(alpha), coeff) for alpha, coeff in pj.table.items()]
     lam0 = _growth(graded, jmax - window + 1)

@@ -16,18 +16,23 @@ from levicivita import (
     IntPow,
     LCNumber,
     ONE,
+    PowerSeries,
     RationalConst,
     Variable,
+    Verdict,
     ZERO,
+    converges_at,
     derivative_at,
     diff_symbolic,
     eval_lc,
+    exp,
     lhopital_limit,
     monomial,
     multi_indices,
     parse_expr,
     parse_lc,
     partial_jet,
+    recenter,
     taylor_jet,
 )
 from levicivita import calculus
@@ -538,6 +543,150 @@ def test_partial_taylor_sums_order_too_high():
     pj = partial_jet(parse_expr("x+y"), ["x", "y"], [0, 0], 1)
     with pytest.raises(OrderTooHighError):
         partial_taylor_sums(pj, (ONE, ONE), [1, 2])
+
+
+# -- the Taylor sum of one variable ----------------------------------------------------
+
+
+def taylor_sum(s: PowerSeries, delta: LCNumber) -> LCNumber:
+    """sum(a_j * delta^j) of a power series, on its one-variable table."""
+    pj = calculus.PartialJet((s.center,), s.jmax, {(j,): a for j, a in enumerate(s.coeffs)})
+    return partial_taylor_sums(pj, (delta,), [0, s.jmax])[1]
+
+
+def series_of(*coeffs, center=ZERO):
+    return PowerSeries(center, tuple(coeffs))
+
+
+def test_sum_polynomial_jet_exact():
+    # jet of x^2 at 0 evaluated at 1 + d; trailing zeros let the window
+    # estimate see that the coefficients terminate
+    s = series_of(ZERO, ZERO, ONE, ZERO, ZERO, ZERO)
+    y = 1 + D
+    assert converges_at(s, y).verdict is Verdict.CONVERGES
+    assert taylor_sum(s, y) == y * y
+    # with jmax == degree the finite-sample estimate cannot rule out a
+    # geometric-like tail, so a finite point sits on the boundary
+    assert converges_at(series_of(ZERO, ZERO, ONE), y).verdict is Verdict.BOUNDARY
+
+
+def test_sum_geometric_inverse_check():
+    s = series_of(*[ONE] * 40)
+    x = parse_lc("d")  # default horizon 32
+    total = taylor_sum(s, x)
+    assert (total * (1 - x)).terms == ((F(0), 1.0),)
+
+
+def test_sum_at_center_returns_a0():
+    s = series_of(real(7), real(3), real(9))
+    assert taylor_sum(s, ZERO) == real(7)
+
+
+def test_recenter_exp_jet_at_d_scales_by_exp():
+    jmax = 11
+    coeffs = tuple(real(1 / math.factorial(j)) for j in range(jmax + 1))
+    s = PowerSeries(ZERO, coeffs)
+    r = recenter(s, D)
+    scale = exp(D)
+    for j, (a, ra) in enumerate(zip(coeffs, r.coeffs)):
+        # c_j is the truncation of a_j*exp(d) at order jmax - j
+        ref = (a * scale).truncate(F(jmax - j) + 1)
+        assert close(ra, ref, rel_tol=1e-12)
+    # sampled evaluations agree where both converge
+    for probe in (monomial(2), monomial(3, 0.5)):
+        assert converges_at(s, D + probe).verdict is Verdict.CONVERGES
+        assert converges_at(r, D + probe).verdict is Verdict.CONVERGES
+        lhs = taylor_sum(s, D + probe)
+        rhs = taylor_sum(r, probe)
+        assert close(lhs, rhs, rel_tol=1e-10)
+
+
+def _ref_graded_sum(table: dict, v) -> LCNumber:
+    """sum(table[alpha] * v^alpha) degree by degree, every term uncapped.
+
+    Within a degree the terms are added in the graded order of the jet
+    layout, and v^alpha is one product from the monomial with the first
+    nonzero exponent of alpha lowered, as the sums form them.
+    """
+    n, order = len(v), max(map(sum, table))
+    mono = {(0,) * n: ONE}
+    acc = ZERO
+    for alpha in sorted(calculus.multi_indices(n, order), key=sum):
+        if any(alpha):
+            i = next(i for i, a in enumerate(alpha) if a)
+            mono[alpha] = mono[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]] * v[i]
+    for j in range(order + 1):
+        part = ZERO
+        for alpha in sorted(calculus.multi_indices(n, order), key=sum):
+            if sum(alpha) == j:
+                part = part + table[alpha] * mono[alpha]
+        acc = acc + part
+    return acc
+
+
+_terms = st.lists(
+    st.tuples(st.builds(F, st.integers(-12, 18), st.sampled_from([1, 2, 3, 6])),
+              st.floats(-2, 2).filter(bool)),
+    max_size=4,
+)
+_horizons = st.one_of(st.just(math.inf), st.builds(F, st.integers(4, 40), st.integers(1, 3)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_terms, min_size=1, max_size=16), _terms, _horizons)
+def test_taylor_sum_equals_a_sum_of_every_term(coeffs, delta, h):
+    # the sum ends early only where no later term can be visible; a delta of
+    # negative valuation has falling valuations and sums every term
+    coeffs = [LCNumber(t, h) for t in coeffs]
+    delta = LCNumber(delta, h)
+    table = {(j,): a for j, a in enumerate(coeffs)}
+    total = taylor_sum(PowerSeries(ZERO, tuple(coeffs)), delta)
+    assert total == _ref_graded_sum(table, (delta,))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 4), st.data(), _horizons)
+def test_two_variable_taylor_sum_equals_a_sum_of_every_term(order, data, h):
+    # the same at n = 2, where a degree holds several terms; a component of
+    # negative valuation makes the monomials' valuations fall, and then the
+    # sum must not end early
+    layout = calculus.multi_indices(2, order)
+    table = {alpha: LCNumber(data.draw(_terms), h) for alpha in layout}
+    v = (LCNumber(data.draw(_terms), h), LCNumber(data.draw(_terms), h))
+    pj = calculus.PartialJet((ZERO, ZERO), order, table)
+    assert partial_taylor_sums(pj, v, [0, order])[1] == _ref_graded_sum(table, v)
+
+
+def test_taylor_sum_keeps_the_horizon_of_a_term_that_shows_nothing():
+    # a_1 has no visible term but horizon 5, so a_1 * d is known only below d^6
+    unknown = LCNumber([], 5)
+    total = taylor_sum(PowerSeries(ZERO, (ONE, unknown)), D)
+    assert total == ONE + unknown * D
+    assert total.horizon == 6
+    s = PowerSeries(ZERO, (ONE, unknown, ONE))
+    assert taylor_sum(s, D) == LCNumber([(0, 1.0), (2, 1.0)], 6)
+
+
+def test_taylor_sum_reads_an_empty_step_by_its_horizon():
+    # delta shows nothing below d^5: its powers bound later terms by their
+    # horizons, and d^-10 * delta^2 is known only below d^0, so the sum is
+    # known nowhere at or above d^0, not even its leading 1
+    s = PowerSeries(ZERO, (ONE, LCNumber([]), monomial(-10)))
+    assert taylor_sum(s, LCNumber([], 5)) == LCNumber([], 0)
+
+
+def test_taylor_sum_with_falling_valuations_sums_past_an_invisible_term():
+    # lambda(delta) < 0: the powers' valuations fall, so the invisible d^4
+    # of j = 1 does not end the sum before the visible d^3 of j = 2
+    s = PowerSeries(ZERO, (LCNumber([(0, 1.0)], 4), monomial(5), monomial(5)))
+    assert taylor_sum(s, monomial(-1)) == LCNumber([(0, 1.0), (3, 1.0)], 4)
+    # the same at n = 2 with one falling component: degree 1 shows nothing,
+    # and lambda(d^-1) + 5 reaches the horizon 4, yet y^2 shows d^3
+    table = {(0, 0): LCNumber([(0, 1.0)], 4), (1, 0): ZERO, (0, 1): monomial(5),
+             (2, 0): ZERO, (1, 1): ZERO, (0, 2): monomial(5)}
+    pj = calculus.PartialJet((ZERO, ZERO), 2, table)
+    total = partial_taylor_sums(pj, (D, monomial(-1)), [0, 2])[1]
+    assert total == LCNumber([(0, 1.0), (3, 1.0)], 4)
 
 
 # -- L'Hopital -----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from levicivita import (
     taylor_jet,
     diff_symbolic,
 )
-from levicivita.series import _taylor_sum, growth_window
+from levicivita.series import growth_window
 from _corpus import close, general_invertible_number
 from levicivita.errors import (
     DomainError,
@@ -107,33 +107,6 @@ def test_converges_at_center():
     assert converges_at(s, ZERO).verdict is Verdict.CONVERGES
 
 
-# -- summation ----------------------------------------------------------------------
-
-
-def test_sum_polynomial_jet_exact():
-    # jet of x^2 at 0 evaluated at 1 + d; trailing zeros let the window
-    # estimate see that the coefficients terminate
-    s = series_of(ZERO, ZERO, ONE, ZERO, ZERO, ZERO)
-    y = 1 + D
-    assert converges_at(s, y).verdict is Verdict.CONVERGES
-    assert _taylor_sum(s, y) == y * y
-    # with jmax == degree the finite-sample estimate cannot rule out a
-    # geometric-like tail, so a finite point sits on the boundary
-    assert converges_at(series_of(ZERO, ZERO, ONE), y).verdict is Verdict.BOUNDARY
-
-
-def test_sum_geometric_inverse_check():
-    s = series_of(*[ONE] * 40)
-    x = parse_lc("d")  # default horizon 32
-    total = _taylor_sum(s, x)
-    assert (total * (1 - x)).terms == ((F(0), 1.0),)
-
-
-def test_sum_at_center_returns_a0():
-    s = series_of(real(7), real(3), real(9))
-    assert _taylor_sum(s, ZERO) == real(7)
-
-
 # -- term-by-term differentiation ---------------------------------------------------
 
 
@@ -197,25 +170,6 @@ def test_recenter_by_zero_is_identity():
     s = series_of(real(3), real(1), real(4))
     r = recenter(s, ZERO)
     assert r.coeffs == s.coeffs
-
-
-def test_recenter_exp_jet_at_d_scales_by_exp():
-    jmax = 11
-    coeffs = tuple(real(1 / math.factorial(j)) for j in range(jmax + 1))
-    s = PowerSeries(ZERO, coeffs)
-    r = recenter(s, D)
-    scale = exp(D)
-    for j, (a, ra) in enumerate(zip(coeffs, r.coeffs)):
-        # c_j is the truncation of a_j*exp(d) at order jmax - j
-        ref = (a * scale).truncate(F(jmax - j) + 1)
-        assert close(ra, ref, rel_tol=1e-12)
-    # sampled evaluations agree where both converge
-    for probe in (monomial(2), monomial(3, 0.5)):
-        assert converges_at(s, D + probe).verdict is Verdict.CONVERGES
-        assert converges_at(r, D + probe).verdict is Verdict.CONVERGES
-        lhs = _taylor_sum(s, D + probe)
-        rhs = _taylor_sum(r, probe)
-        assert close(lhs, rhs, rel_tol=1e-10)
 
 
 def test_recenter_commutes_with_termwise_diff_on_polynomials():
@@ -526,61 +480,6 @@ def test_inverse_round_trip_keeps_its_digits_on_general_numbers():
         inv = x.inv()
         worst = max(worst, _relative_size(x * inv - 1, x.max_abs_coefficient() * inv.max_abs_coefficient()))
     assert worst < 1e-14
-
-
-def _ref_taylor_sum(coeffs, delta):
-    acc, power = ZERO, ONE
-    for j, a in enumerate(coeffs):
-        if j:
-            power = power * delta
-        acc = acc + a * power
-    return acc
-
-
-_terms = st.lists(
-    st.tuples(st.builds(F, st.integers(-12, 18), st.sampled_from([1, 2, 3, 6])),
-              _coefficients),
-    max_size=4,
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    st.lists(_terms, min_size=1, max_size=16),
-    _terms,
-    st.one_of(st.just(math.inf), st.builds(F, st.integers(4, 40), st.integers(1, 3))),
-)
-def test_taylor_sum_equals_a_sum_of_every_term(coeffs, delta, h):
-    # the sum ends early only where no later term can be visible; a delta of
-    # negative valuation has falling valuations and sums every term
-    coeffs = [LCNumber(t, h) for t in coeffs]
-    delta = LCNumber(delta, h)
-    assert _taylor_sum(PowerSeries(ZERO, tuple(coeffs)), delta) == _ref_taylor_sum(coeffs, delta)
-
-
-def test_taylor_sum_keeps_the_horizon_of_a_term_that_shows_nothing():
-    # a_1 has no visible term but horizon 5, so a_1 * d is known only below d^6
-    unknown = LCNumber([], 5)
-    total = _taylor_sum(PowerSeries(ZERO, (ONE, unknown)), D)
-    assert total == ONE + unknown * D
-    assert total.horizon == 6
-    s = PowerSeries(ZERO, (ONE, unknown, ONE))
-    assert _taylor_sum(s, D) == LCNumber([(0, 1.0), (2, 1.0)], 6)
-
-
-def test_taylor_sum_reads_an_empty_step_by_its_horizon():
-    # delta shows nothing below d^5: its powers bound later terms by their
-    # horizons, and d^-10 * delta^2 is known only below d^0, so the sum is
-    # known nowhere at or above d^0, not even its leading 1
-    s = PowerSeries(ZERO, (ONE, LCNumber([]), monomial(-10)))
-    assert _taylor_sum(s, LCNumber([], 5)) == LCNumber([], 0)
-
-
-def test_taylor_sum_with_falling_valuations_sums_past_an_invisible_term():
-    # lambda(delta) < 0: the powers' valuations fall, so the invisible d^4
-    # of j = 1 does not end the sum before the visible d^3 of j = 2
-    s = PowerSeries(ZERO, (LCNumber([(0, 1.0)], 4), monomial(5), monomial(5)))
-    assert _taylor_sum(s, monomial(-1)) == LCNumber([(0, 1.0), (3, 1.0)], 4)
 
 
 def test_elementary_multiplication_counts(monkeypatch):

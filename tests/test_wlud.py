@@ -466,6 +466,24 @@ def test_certificate_short_jet_is_inconclusive_not_refuted():
     assert any(lam != INF for _, _, lam in cert.identity_checks)
 
 
+def test_certificate_at_jmax_1_sums_a_line():
+    # the identity phase sums a_0 + a_1 (y - x), recentred at x: exact for a
+    # line, while a square leaves (y - x0)^2, since the recentred order-1 jet
+    # has no a_2 either; that truncation tail is inconclusive, not refuted
+    x0 = parse_lc("1/2 + d")
+    line = analyticity_certificate_1d(
+        parse_expr("3*x - 1"), "x", x0, jmax=1, kmax=1, plan=FAST_PLAN
+    )
+    assert line.verdict == "certified_at_scale"
+    assert any(x != x0 for x, _, _ in line.identity_checks)
+    assert all(lam == INF for _, _, lam in line.identity_checks)
+    square = analyticity_certificate_1d(
+        parse_expr("x^2"), "x", x0, jmax=1, kmax=1, plan=FAST_PLAN
+    )
+    assert square.verdict == "inconclusive"
+    assert all(lam == 2 * (y - x0).valuation() for _, y, lam in square.identity_checks)
+
+
 def test_certificate_monotone_in_jmax():
     # increasing jmax never downgrades the verdict on the same plan
     rank = {"refuted": 0, "inconclusive": 1, "certified_at_scale": 2}
